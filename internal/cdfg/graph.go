@@ -291,26 +291,23 @@ func (g *Graph) ClearTemporalEdges() {
 // kinds, deduplicated, and returns the result. Order: data slots first,
 // then control, then temporal.
 func (g *Graph) PredsAll(dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, lists := range [][]NodeID{g.dataIn[v], g.ctrlIn[v], g.tempIn[v]} {
-		for _, u := range lists {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return appendUnique(dst, g.dataIn[v], g.ctrlIn[v], g.tempIn[v])
 }
 
 // SuccsAll appends to dst the precedence successors of v across all edge
 // kinds, deduplicated, and returns the result.
 func (g *Graph) SuccsAll(dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, lists := range [][]NodeID{g.dataOut[v], g.ctrlOut[v], g.tempOut[v]} {
-		for _, u := range lists {
-			if !seen[u] {
-				seen[u] = true
+	return appendUnique(dst, g.dataOut[v], g.ctrlOut[v], g.tempOut[v])
+}
+
+// appendUnique appends to dst, in order, every node of the lists not
+// already appended. A node has a handful of neighbors, so a linear scan of
+// what was appended beats a set.
+func appendUnique(dst []NodeID, lists ...[]NodeID) []NodeID {
+	start := len(dst)
+	for _, l := range lists {
+		for _, u := range l {
+			if !contains(dst[start:], u) {
 				dst = append(dst, u)
 			}
 		}

@@ -1,6 +1,7 @@
 package cdfg
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -246,5 +247,24 @@ func TestPredsSuccsAllDeduplicate(t *testing.T) {
 	succs := g.SuccsAll(nil, a)
 	if len(succs) != 1 || succs[0] != b {
 		t.Fatalf("SuccsAll = %v, want [b]", succs)
+	}
+}
+
+func TestNodeMarks(t *testing.T) {
+	var m NodeMarks
+	m.Reset(4)
+	if !m.Add(2) || m.Add(2) || !m.Has(2) || m.Has(1) {
+		t.Fatal("Add/Has disagree on a fresh set")
+	}
+	m.Reset(8) // grows, and empties
+	if m.Has(2) || !m.Add(7) {
+		t.Fatal("Reset left a member or did not grow")
+	}
+	// The epoch counter wraps by clearing every stamp.
+	m.epoch = math.MaxUint32
+	m.stamp[3] = 1
+	m.Reset(8)
+	if m.epoch != 1 || m.Has(3) || m.Has(7) {
+		t.Fatalf("after wrap: epoch %d, Has(3)=%v Has(7)=%v", m.epoch, m.Has(3), m.Has(7))
 	}
 }

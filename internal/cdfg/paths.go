@@ -42,37 +42,17 @@ type PathOpts struct {
 }
 
 func (g *Graph) preds(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	lists := [][]NodeID{g.dataIn[v], g.ctrlIn[v]}
 	if opts.IncludeTemporal {
-		lists = append(lists, g.tempIn[v])
+		return appendUnique(dst, g.dataIn[v], g.ctrlIn[v], g.tempIn[v])
 	}
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return appendUnique(dst, g.dataIn[v], g.ctrlIn[v])
 }
 
 func (g *Graph) succs(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	lists := [][]NodeID{g.dataOut[v], g.ctrlOut[v]}
 	if opts.IncludeTemporal {
-		lists = append(lists, g.tempOut[v])
+		return appendUnique(dst, g.dataOut[v], g.ctrlOut[v], g.tempOut[v])
 	}
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return appendUnique(dst, g.dataOut[v], g.ctrlOut[v])
 }
 
 // LongestTo returns, for every node v, the length of the longest path
@@ -176,6 +156,11 @@ func (g *Graph) LaxitiesW(weight WeightFunc) ([]int, error) {
 // length (in edges, over reversed data edges) of the longest path in the
 // fan-in cone from root to the node. Nodes outside root's transitive
 // fan-in get level -1. This is the quantity used by ordering criterion C1.
+//
+// Only the cone is walked: Kahn's algorithm over its reversed data edges,
+// so a node's level is final once every data consumer of it inside the
+// cone has been processed. A data cycle inside the cone is an error;
+// acyclicity of the rest of the graph is Validate's job.
 func (g *Graph) Levels(root NodeID) ([]int, error) {
 	if err := g.checkID(root); err != nil {
 		return nil, err
@@ -184,25 +169,44 @@ func (g *Graph) Levels(root NodeID) ([]int, error) {
 	for i := range level {
 		level[i] = -1
 	}
+	// Collect the cone breadth-first, counting for every cone node its
+	// data consumers inside the cone (one per edge, as a node may feed
+	// two input slots of the same consumer).
+	pending := make([]int32, len(g.nodes))
+	cone := []NodeID{root}
 	level[root] = 0
-	// Longest path over reversed data edges from root. Process nodes in
-	// reverse topological order so every data successor is finalized first.
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if v == root {
-			continue
+	for i := 0; i < len(cone); i++ {
+		for _, u := range g.dataIn[cone[i]] {
+			if level[u] < 0 {
+				level[u] = 0
+				cone = append(cone, u)
+			}
+			pending[u]++
 		}
-		best := -1
-		for _, w := range g.dataOut[v] {
-			if level[w] >= 0 && level[w]+1 > best {
-				best = level[w] + 1
+	}
+	// cone doubles as the Kahn queue: a node is re-appended once its last
+	// in-cone consumer has been processed, so ready nodes are the suffix
+	// beyond the collected cone. The root has no consumer in its own cone
+	// unless a cycle runs through it.
+	n := len(cone)
+	ready := cone
+	if pending[root] == 0 {
+		ready = append(ready, root)
+	}
+	for i := n; i < len(ready); i++ {
+		v := ready[i]
+		for _, u := range g.dataIn[v] {
+			if level[v]+1 > level[u] {
+				level[u] = level[v] + 1
+			}
+			if pending[u]--; pending[u] == 0 {
+				ready = append(ready, u)
 			}
 		}
-		level[v] = best
+	}
+	if len(ready)-n != n {
+		return nil, fmt.Errorf("cdfg: data cycle in the fan-in cone of %s (%d of %d nodes leveled)",
+			g.nodes[root].Name, len(ready)-n, n)
 	}
 	return level, nil
 }
@@ -233,32 +237,6 @@ func (g *Graph) FaninTree(root NodeID, maxDist int) (map[NodeID]int, error) {
 		frontier = next
 	}
 	return dist, nil
-}
-
-// FaninCount returns K_i(x): the number of nodes in the transitive fan-in
-// tree of v within maximal distance x (v excluded). Ordering criterion C2.
-func (g *Graph) FaninCount(v NodeID, x int) (int, error) {
-	tree, err := g.FaninTree(v, x)
-	if err != nil {
-		return 0, err
-	}
-	return len(tree) - 1, nil
-}
-
-// FaninFunctionalitySum returns φ(v, x): the sum of operation identifiers
-// f(n_a) over the fan-in tree of v within maximal distance x (v included,
-// matching the paper's T_i(x) which "consists of all nodes with maximal
-// distance D_x from n_i"). Ordering criterion C3.
-func (g *Graph) FaninFunctionalitySum(v NodeID, x int) (int, error) {
-	tree, err := g.FaninTree(v, x)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0
-	for u := range tree {
-		sum += int(g.nodes[u].Op)
-	}
-	return sum, nil
 }
 
 // SubgraphResult is the outcome of InducedSubgraph: the new graph plus the

@@ -1,6 +1,7 @@
 package cdfg
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,36 @@ func TestLevels(t *testing.T) {
 	}
 }
 
+// TestLevelsCycles: Levels walks only the root's data fan-in cone, so a
+// data cycle inside the cone is an error and one elsewhere is not.
+func TestLevelsCycles(t *testing.T) {
+	g := New(6)
+	in := g.AddNode("in", OpInput)
+	a := g.AddNode("a", OpAdd)
+	b := g.AddNode("b", OpAdd)
+	c := g.AddNode("c", OpMul)
+	x := g.AddNode("x", OpAdd)
+	y := g.AddNode("y", OpAdd)
+	g.MustAddEdge(in, a, DataEdge)
+	g.MustAddEdge(a, b, DataEdge)
+	g.MustAddEdge(b, a, DataEdge) // a <-> b
+	g.MustAddEdge(b, c, DataEdge)
+	g.MustAddEdge(in, x, DataEdge)
+	g.MustAddEdge(x, y, DataEdge)
+	for _, root := range []NodeID{a, b, c} {
+		if _, err := g.Levels(root); err == nil {
+			t.Errorf("Levels(%s) accepted the a<->b data cycle in its cone", g.Node(root).Name)
+		}
+	}
+	levels, err := g.Levels(y)
+	if err != nil {
+		t.Fatalf("Levels(y) failed on a cycle outside its cone: %v", err)
+	}
+	if want := []int{2, -1, -1, -1, 1, 0}; !reflect.DeepEqual(levels, want) {
+		t.Fatalf("Levels(y) = %v, want %v", levels, want)
+	}
+}
+
 func TestFaninTreeDistances(t *testing.T) {
 	g := diamond(t)
 	d := g.MustNode("d")
@@ -149,26 +180,6 @@ func TestFaninTreeDistances(t *testing.T) {
 	}
 	if tree[g.MustNode("in")] != 2 {
 		t.Fatalf("dist(in) = %d, want 2 (shortest backward distance)", tree[g.MustNode("in")])
-	}
-}
-
-func TestFaninCountAndPhi(t *testing.T) {
-	g := diamond(t)
-	d := g.MustNode("d")
-	k, err := g.FaninCount(d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 2 {
-		t.Fatalf("K_d(1) = %d, want 2", k)
-	}
-	phi, err := g.FaninFunctionalitySum(d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int(OpAdd) + int(OpMul) + int(OpSub) // d + b + c
-	if phi != want {
-		t.Fatalf("phi(d,1) = %d, want %d", phi, want)
 	}
 }
 

@@ -15,6 +15,9 @@ package domain
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 
 	"localwm/internal/cdfg"
 	"localwm/internal/order"
@@ -96,20 +99,44 @@ func (d *Domain) Contains(v cdfg.NodeID) bool {
 	return false
 }
 
-// PickRoot pseudo-randomly selects a root node for domain selection among
-// the computational nodes that have at least one computational data
-// predecessor (a root with an empty fan-in tree carries no watermark).
-// It returns an error if the design has no eligible node.
-func PickRoot(g *cdfg.Graph, bs *prng.Bitstream) (cdfg.NodeID, error) {
-	var eligible []cdfg.NodeID
-	for _, v := range g.Computational() {
-		for _, u := range g.DataIn(v) {
-			if g.Node(u).Op.IsComputational() {
-				eligible = append(eligible, v)
-				break
-			}
+// Eligible reports whether v can root a domain: a computational node with
+// at least one computational data predecessor (a root with an empty
+// fan-in tree carries no watermark).
+func Eligible(g *cdfg.Graph, v cdfg.NodeID) bool {
+	if !g.Node(v).Op.IsComputational() {
+		return false
+	}
+	for _, u := range g.DataIn(v) {
+		if g.Node(u).Op.IsComputational() {
+			return true
 		}
 	}
+	return false
+}
+
+// PickRoot pseudo-randomly selects a root node for domain selection among
+// the Eligible nodes. It returns an error if the design has none.
+func PickRoot(g *cdfg.Graph, bs *prng.Bitstream) (cdfg.NodeID, error) {
+	return PickFrom(EligibleRoots(g), bs)
+}
+
+// EligibleRoots lists the Eligible nodes of g in ID order. Eligibility
+// depends only on operations and data edges, so an embedder that adds
+// temporal edges between draws may list the roots once and draw with
+// PickFrom.
+func EligibleRoots(g *cdfg.Graph) []cdfg.NodeID {
+	var eligible []cdfg.NodeID
+	for _, v := range g.Computational() {
+		if Eligible(g, v) {
+			eligible = append(eligible, v)
+		}
+	}
+	return eligible
+}
+
+// PickFrom is PickRoot over a precomputed EligibleRoots list: the same
+// draw, consuming the same bits.
+func PickFrom(eligible []cdfg.NodeID, bs *prng.Bitstream) (cdfg.NodeID, error) {
 	if len(eligible) == 0 {
 		return cdfg.None, fmt.Errorf("domain: design has no node with computational fan-in")
 	}
@@ -124,16 +151,12 @@ func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*D
 	if err != nil {
 		return nil, err
 	}
-	tree, err := cappedFaninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	to, err := sc.cappedFaninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize)
 	if err != nil {
 		return nil, err
 	}
-	to := make([]cdfg.NodeID, 0, len(tree))
-	for v := range tree {
-		to = append(to, v)
-	}
-	to = cdfg.SortedIDs(to)
-
 	ord, err := order.Order(g, root, to, 0)
 	if err != nil {
 		return nil, err
@@ -145,24 +168,39 @@ func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*D
 	// bitstream picks at least one input to recurse into and then flips a
 	// coin per remaining input. Candidate inputs are visited in canonical
 	// rank order so the bit positions are unambiguous.
-	inT := map[cdfg.NodeID]bool{root: true}
+	//
+	// A node is a candidate while it is in T_o and its rank is
+	// non-negative: selection into T sets the rank to -1. T doubles as the
+	// breadth-first queue.
+	sc.marks.Reset(g.Len())
+	if len(sc.rank) < g.Len() {
+		sc.rank = make([]int32, g.Len())
+	}
+	for i, v := range ord.Ordered {
+		sc.marks.Add(v)
+		sc.rank[v] = int32(i)
+	}
+	sc.rank[root] = -1
 	d.T = append(d.T, root)
-	queue := []cdfg.NodeID{root}
-	for len(queue) > 0 && len(d.T) < cfg.Tau {
-		v := queue[0]
-		queue = queue[1:]
-
-		var cands []cdfg.NodeID
+	for head := 0; head < len(d.T) && len(d.T) < cfg.Tau; head++ {
+		v := d.T[head]
+		cands := sc.cands[:0]
 		for _, u := range g.DataIn(v) {
-			if _, inTree := tree[u]; inTree && !inT[u] {
+			if sc.marks.Has(u) && sc.rank[u] >= 0 {
 				cands = append(cands, u)
 			}
 		}
+		sc.cands = cands
 		if len(cands) == 0 {
 			continue
 		}
-		// Canonical order of candidates.
-		cands = sortByRank(cands, ord.Rank)
+		// Canonical order of candidates (insertion sort: a node has a
+		// handful of inputs).
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && sc.rank[cands[j]] < sc.rank[cands[j-1]]; j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
 
 		mandatory := bs.Intn(len(cands))
 		for i, u := range cands {
@@ -170,9 +208,8 @@ func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*D
 			if !take {
 				continue
 			}
-			inT[u] = true
+			sc.rank[u] = -1
 			d.T = append(d.T, u)
-			queue = append(queue, u)
 			if len(d.T) >= cfg.Tau {
 				break
 			}
@@ -186,9 +223,18 @@ func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*D
 // by detectors to reject candidate roots before paying for a full domain
 // derivation. The fingerprint depends only on the node's immediate
 // neighborhood, so it survives cropping and embedding into host systems.
+// Its text, e.g. "3/2/[3 5]", is carried by watermark records.
 func RootFingerprint(g *cdfg.Graph, v cdfg.NodeID) string {
+	return string(AppendRootFingerprint(nil, g, v))
+}
+
+// AppendRootFingerprint appends RootFingerprint(g, v) to dst. A detector
+// scanning many roots compares string(buf) against a record's
+// fingerprint with one reused buf, allocating nothing per root.
+func AppendRootFingerprint(dst []byte, g *cdfg.Graph, v cdfg.NodeID) []byte {
 	ins := g.DataIn(v)
-	ops := make([]int, 0, len(ins))
+	var small [8]int
+	ops := small[:0]
 	for _, u := range ins {
 		ops = append(ops, int(g.Node(u).Op))
 	}
@@ -198,51 +244,64 @@ func RootFingerprint(g *cdfg.Graph, v cdfg.NodeID) string {
 			ops[j], ops[j-1] = ops[j-1], ops[j]
 		}
 	}
-	return fmt.Sprintf("%d/%d/%v", int(g.Node(v).Op), len(ins), ops)
+	dst = strconv.AppendInt(dst, int64(g.Node(v).Op), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(len(ins)), 10)
+	dst = append(dst, '/', '[')
+	for i, op := range ops {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(op), 10)
+	}
+	return append(dst, ']')
 }
 
-// cappedFaninTree is FaninTree with a node-count cap: BFS levels are
-// admitted whole while they fit, and the level that would overflow is
-// admitted in ascending node-ID order up to the cap — a rule both the
-// embedder and the detector apply identically. (Ascending-ID order is
-// stable under the attacks the evaluation simulates: induced-subgraph
-// cropping and host embedding both preserve the relative ID order of the
-// surviving nodes.)
-func cappedFaninTree(g *cdfg.Graph, root cdfg.NodeID, maxDist, maxNodes int) (map[cdfg.NodeID]int, error) {
+// scratch is the reusable state of one Select call. marks holds the
+// nodes cappedFaninTree's walk has reached, then T_o, whose members' ranks
+// are in rank.
+type scratch struct {
+	marks cdfg.NodeMarks
+	rank  []int32
+	tree  []cdfg.NodeID
+	cands []cdfg.NodeID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// cappedFaninTree returns, in ascending ID order, root's fan-in tree of
+// distance at most maxDist with a node-count cap: BFS levels are admitted
+// whole while they fit, and the level that would overflow is admitted in
+// ascending node-ID order up to the cap — a rule both the embedder and the
+// detector apply identically. (Ascending-ID order is stable under the
+// attacks the evaluation simulates: induced-subgraph cropping and host
+// embedding both preserve the relative ID order of the surviving nodes.)
+// The result aliases sc and is valid until sc's next use.
+func (sc *scratch) cappedFaninTree(g *cdfg.Graph, root cdfg.NodeID, maxDist, maxNodes int) ([]cdfg.NodeID, error) {
 	if maxNodes <= 0 {
 		return nil, fmt.Errorf("domain: non-positive tree cap %d", maxNodes)
 	}
-	dist := map[cdfg.NodeID]int{root: 0}
-	frontier := []cdfg.NodeID{root}
-	for d := 1; d <= maxDist && len(frontier) > 0 && len(dist) < maxNodes; d++ {
-		var next []cdfg.NodeID
-		seen := map[cdfg.NodeID]bool{}
-		for _, v := range frontier {
+	sc.marks.Reset(g.Len())
+	sc.marks.Add(root)
+	tree := append(sc.tree[:0], root)
+	// tree[lo:hi] is the frontier, the level admitted last.
+	for d, lo := 1, 0; d <= maxDist && lo < len(tree) && len(tree) < maxNodes; d++ {
+		hi := len(tree)
+		for _, v := range tree[lo:hi] {
 			for _, u := range g.DataIn(v) {
-				if _, ok := dist[u]; !ok && !seen[u] {
-					seen[u] = true
-					next = append(next, u)
+				if sc.marks.Add(u) {
+					tree = append(tree, u)
 				}
 			}
 		}
-		next = cdfg.SortedIDs(next)
-		for _, u := range next {
-			if len(dist) >= maxNodes {
-				return dist, nil
-			}
-			dist[u] = d
+		slices.Sort(tree[hi:])
+		if len(tree) > maxNodes {
+			tree = tree[:maxNodes]
+			break
 		}
-		frontier = next
+		lo = hi
 	}
-	return dist, nil
-}
-
-func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {
-	out := append([]cdfg.NodeID(nil), nodes...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(tree)
+	sc.tree = tree
+	return tree, nil
 }

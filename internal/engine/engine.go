@@ -137,9 +137,10 @@ func EmbedManyCtx(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg sc
 	// where offset counts the picks of the watermarks before it.
 	var roots []cdfg.NodeID
 	if ncfg.Root == nil {
+		eligible := domain.EligibleRoots(g)
 		roots = make([]cdfg.NodeID, 0, n*ncfg.MaxTries)
 		for i := 0; i < n*ncfg.MaxTries; i++ {
-			r, err := domain.PickRoot(g, master)
+			r, err := domain.PickFrom(eligible, master)
 			if err != nil {
 				// No eligible root exists (a static property): replay
 				// sequentially for the identical per-index error.

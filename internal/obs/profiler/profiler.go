@@ -92,9 +92,13 @@ type Profiler struct {
 	mu          sync.Mutex // serializes capture cycles (CPU profiling is process-global)
 	lastTrigger time.Time
 	ctr         Counters
+	closed      bool // set by Close; no capture is started after it
 
-	stop chan struct{}
-	done chan struct{}
+	// running counts the periodic loop and every triggered capture that
+	// has been started; Close waits for all of them.
+	running   sync.WaitGroup
+	stop      chan struct{}
+	closeOnce sync.Once
 }
 
 // New builds a profiler over cfg and creates cfg.Dir.
@@ -106,20 +110,18 @@ func New(cfg Config) (*Profiler, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profiler: %w", err)
 	}
-	return &Profiler{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}, nil
+	return &Profiler{cfg: cfg, stop: make(chan struct{})}, nil
 }
 
 // Start launches the periodic capture loop (no-op when Interval is 0 or
 // p is nil). Call Close to stop it.
 func (p *Profiler) Start() {
 	if p == nil || p.cfg.Interval <= 0 {
-		if p != nil {
-			close(p.done)
-		}
 		return
 	}
+	p.running.Add(1)
 	go func() {
-		defer close(p.done)
+		defer p.running.Done()
 		t := time.NewTicker(p.cfg.Interval)
 		defer t.Stop()
 		for {
@@ -133,15 +135,20 @@ func (p *Profiler) Start() {
 	}()
 }
 
-// Close stops the periodic loop and waits for an in-flight cycle.
+// Close stops the periodic loop and waits for every capture started
+// before it, so nothing writes into Dir once Close returns. Trigger
+// starts no capture after Close. Idempotent.
 func (p *Profiler) Close() {
 	if p == nil {
 		return
 	}
-	close(p.stop)
-	<-p.done
-	p.mu.Lock() // wait out any on-demand capture still running
-	p.mu.Unlock()
+	p.closeOnce.Do(func() {
+		close(p.stop) // cuts an in-flight CPU sample short
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+	})
+	p.running.Wait()
 }
 
 // Trigger requests an on-demand capture cycle (SLO breach). The capture
@@ -153,14 +160,19 @@ func (p *Profiler) Trigger(reason string) bool {
 	}
 	p.mu.Lock()
 	now := time.Now()
-	if now.Sub(p.lastTrigger) < p.cfg.Debounce {
+	if p.closed || now.Sub(p.lastTrigger) < p.cfg.Debounce {
 		p.mu.Unlock()
 		return false
 	}
 	p.lastTrigger = now
 	p.ctr.Triggered++
+	// Added under mu, so a Close that has not yet set closed waits for it.
+	p.running.Add(1)
 	p.mu.Unlock()
-	go p.capture(reason)
+	go func() {
+		defer p.running.Done()
+		p.capture(reason)
+	}()
 	return true
 }
 

@@ -2,7 +2,9 @@ package profiler
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -88,12 +90,49 @@ func TestTriggerDebounce(t *testing.T) {
 	if p.Trigger("slo") {
 		t.Fatal("second trigger inside the debounce window accepted")
 	}
-	// Wait for the async capture so TempDir cleanup doesn't race it.
-	p.mu.Lock()
-	p.mu.Unlock()
+	// Close joins the async capture, so TempDir cleanup doesn't race it.
+	p.Close()
 	if c := p.Counters(); c.Triggered != 1 {
 		t.Fatalf("Triggered = %d, want 1", c.Triggered)
 	}
+}
+
+// TestCloseJoinsTriggeredCapture closes straight after a trigger, before
+// the capture goroutine has had a chance to start: once Close returns the
+// capture must be finished, with nothing more written into Dir and no temp
+// file left behind, and further triggers must be refused.
+func TestCloseJoinsTriggeredCapture(t *testing.T) {
+	p := newTest(t, Config{CPUDuration: 20 * time.Millisecond})
+	if !p.Trigger("slo") {
+		t.Fatal("trigger rejected")
+	}
+	p.Close()
+	listDir := func() []string {
+		entries, err := os.ReadDir(p.cfg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			if !ValidName(e.Name()) {
+				t.Errorf("%s left in Dir after Close", e.Name())
+			}
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	atClose := listDir()
+	if len(atClose) != len(Kinds) {
+		t.Fatalf("Dir holds %v after Close, want one snapshot per kind", atClose)
+	}
+	if p.Trigger("late") {
+		t.Fatal("trigger after Close accepted")
+	}
+	time.Sleep(60 * time.Millisecond)
+	if later := listDir(); !reflect.DeepEqual(later, atClose) {
+		t.Fatalf("Dir changed after Close: %v, then %v", atClose, later)
+	}
+	p.Close() // idempotent
 }
 
 func TestReadRejectsPathEscape(t *testing.T) {

@@ -2,7 +2,6 @@ package order
 
 import (
 	"fmt"
-	"sort"
 
 	"localwm/internal/cdfg"
 )
@@ -33,52 +32,5 @@ func Global(g *cdfg.Graph, maxDepth int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make(map[cdfg.NodeID][]int, len(nodes))
-	for _, v := range nodes {
-		keys[v] = []int{from[v]}
-	}
-	canonical := false
-	depthUsed := 0
-	for dx := 1; dx <= maxDepth; dx++ {
-		if allUnique(nodes, keys) {
-			canonical = true
-			break
-		}
-		depthUsed = dx
-		for _, v := range nodes {
-			k, err := g.FaninCount(v, dx)
-			if err != nil {
-				return nil, err
-			}
-			phi, err := g.FaninFunctionalitySum(v, dx)
-			if err != nil {
-				return nil, err
-			}
-			keys[v] = append(keys[v], k, phi)
-		}
-	}
-	if !canonical {
-		canonical = allUnique(nodes, keys)
-	}
-	ordered := append([]cdfg.NodeID(nil), nodes...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if c := compareKeys(keys[a], keys[b]); c != 0 {
-			return c > 0
-		}
-		if g.Node(a).Op != g.Node(b).Op {
-			return g.Node(a).Op > g.Node(b).Op
-		}
-		return a < b
-	})
-	res := &Result{
-		Ordered:   ordered,
-		Rank:      make(map[cdfg.NodeID]int, len(ordered)),
-		Canonical: canonical,
-		MaxDepth:  depthUsed,
-	}
-	for i, v := range ordered {
-		res.Rank[v] = i
-	}
-	return res, nil
+	return rank(g, nodes, from, maxDepth)
 }

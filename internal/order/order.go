@@ -21,7 +21,6 @@ package order
 
 import (
 	"fmt"
-	"sort"
 
 	"localwm/internal/cdfg"
 )
@@ -42,9 +41,10 @@ type Result struct {
 }
 
 // Order ranks the given subtree nodes of g with respect to root. The
-// subtree must contain root. maxDepth bounds the D_x search; a value of 0
-// means "up to the number of subtree nodes", which always suffices because
-// fan-in trees stop growing beyond that distance.
+// subtree must contain root and list each node once. maxDepth bounds the
+// D_x search; a value of 0 means "up to the number of subtree nodes",
+// which always suffices because fan-in trees stop growing beyond that
+// distance.
 func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int) (*Result, error) {
 	if len(subtree) == 0 {
 		return nil, fmt.Errorf("order: empty subtree")
@@ -80,88 +80,5 @@ func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int)
 		}
 	}
 
-	// keys[v] accumulates the comparison vector lazily; rounds of
-	// refinement append (K, φ) pairs for growing D_x only while ties
-	// remain, mirroring the paper's "for increasing values of D_x".
-	keys := make(map[cdfg.NodeID][]int, len(subtree))
-	for _, v := range subtree {
-		keys[v] = []int{levels[v]}
-	}
-
-	nodes := cdfg.SortedIDs(subtree)
-	canonical := false
-	depthUsed := 0
-	for dx := 1; dx <= maxDepth; dx++ {
-		if allUnique(nodes, keys) {
-			canonical = true
-			break
-		}
-		depthUsed = dx
-		for _, v := range nodes {
-			k, err := g.FaninCount(v, dx)
-			if err != nil {
-				return nil, err
-			}
-			phi, err := g.FaninFunctionalitySum(v, dx)
-			if err != nil {
-				return nil, err
-			}
-			keys[v] = append(keys[v], k, phi)
-		}
-	}
-	if !canonical {
-		canonical = allUnique(nodes, keys)
-	}
-
-	ordered := append([]cdfg.NodeID(nil), nodes...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if c := compareKeys(keys[a], keys[b]); c != 0 {
-			return c > 0 // greater key sorts first ("n_i > n_j")
-		}
-		// Non-structural fallbacks, reported via Canonical=false.
-		if g.Node(a).Op != g.Node(b).Op {
-			return g.Node(a).Op > g.Node(b).Op
-		}
-		return a < b
-	})
-
-	res := &Result{
-		Ordered:   ordered,
-		Rank:      make(map[cdfg.NodeID]int, len(ordered)),
-		Canonical: canonical,
-		MaxDepth:  depthUsed,
-	}
-	for i, v := range ordered {
-		res.Rank[v] = i
-	}
-	return res, nil
-}
-
-func compareKeys(a, b []int) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] > b[i]:
-			return 1
-		case a[i] < b[i]:
-			return -1
-		}
-	}
-	return 0
-}
-
-func allUnique(nodes []cdfg.NodeID, keys map[cdfg.NodeID][]int) bool {
-	seen := make(map[string]bool, len(nodes))
-	for _, v := range nodes {
-		s := fmt.Sprint(keys[v])
-		if seen[s] {
-			return false
-		}
-		seen[s] = true
-	}
-	return true
+	return rank(g, subtree, levels, maxDepth)
 }

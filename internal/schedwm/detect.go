@@ -100,20 +100,16 @@ func Detect(g *cdfg.Graph, s *sched.Schedule, rec Record) (*Detection, error) {
 
 	det := &Detection{}
 	haveBest := false
+	var fp []byte // reused: the fingerprint test allocates nothing per root
 	for _, root := range g.Computational() {
 		// Roots without computational fan-in cannot host a domain.
-		eligible := false
-		for _, u := range g.DataIn(root) {
-			if g.Node(u).Op.IsComputational() {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
+		if !domain.Eligible(g, root) {
 			continue
 		}
-		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
-			continue // cheap structural rejection
+		if rec.RootFP != "" {
+			if fp = domain.AppendRootFingerprint(fp[:0], g, root); string(fp) != rec.RootFP {
+				continue // cheap structural rejection
+			}
 		}
 		det.RootsTried++
 

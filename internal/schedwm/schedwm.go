@@ -205,11 +205,15 @@ func EmbedMany(g *cdfg.Graph, sig prng.Signature, cfg Config, n int) ([]*Waterma
 		// failure every index would have hit.
 		return nil, fmt.Errorf("schedwm: embedded 0 of %d watermarks: %v", n, err)
 	}
+	var eligible []cdfg.NodeID // listed on the first draw; commits add temporal edges only
 	rootAt := func(try int) (cdfg.NodeID, error) {
 		if cfg.Root != nil {
 			return *cfg.Root, nil
 		}
-		return domain.PickRoot(g, master)
+		if eligible == nil {
+			eligible = domain.EligibleRoots(g)
+		}
+		return domain.PickFrom(eligible, master)
 	}
 	var out []*Watermark
 	var lastErr error

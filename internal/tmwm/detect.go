@@ -158,19 +158,15 @@ func VerifyOwnership(g *cdfg.Graph, lib *tmatch.Library, cover *tmatch.Cover,
 func detectDomainMode(g *cdfg.Graph, lib *tmatch.Library, rec Record,
 	check func(*order.Result) (*Detection, error)) (*Detection, error) {
 	best := &Detection{Total: len(rec.RankEnforced), Root: cdfg.None}
+	var fp []byte // reused: the fingerprint test allocates nothing per root
 	for _, root := range g.Computational() {
-		eligible := false
-		for _, u := range g.DataIn(root) {
-			if g.Node(u).Op.IsComputational() {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
+		if !domain.Eligible(g, root) {
 			continue
 		}
-		if rec.RootFP != "" && domain.RootFingerprint(g, root) != rec.RootFP {
-			continue // cheap structural rejection
+		if rec.RootFP != "" {
+			if fp = domain.AppendRootFingerprint(fp[:0], g, root); string(fp) != rec.RootFP {
+				continue // cheap structural rejection
+			}
 		}
 		best.RootsTried++
 		ds, err := domainStream(rec.Signature, rec.Index, rec.Try)
