@@ -79,6 +79,15 @@ type Graph struct {
 	tempIn   [][]NodeID
 	tempOut  [][]NodeID
 
+	// precIn[v] and precOut[v] list v's precedence predecessors and
+	// successors across all edge kinds, each neighbor once, in the order
+	// its first edge was added. AddEdge keeps them, testing membership on
+	// the destination's in-list: in-lists stay short (an operation has a
+	// few operands) even where out-lists do not (the Long Echo Canceler
+	// has a node with 256 successors).
+	precIn  [][]NodeID
+	precOut [][]NodeID
+
 	// Generation counters version the graph for the PathOracle cache.
 	// structGen advances on any change that can alter structural (data +
 	// control) path analyses: node additions, data/control edges, and
@@ -93,6 +102,10 @@ type Graph struct {
 	// deliberately not part of Clone: a cloned graph starts with a cold
 	// cache of its own.
 	oracle atomic.Pointer[PathOracle]
+
+	// names is the lazily built name index behind NodeByName. Like the
+	// oracle it is not part of Clone, and AddNode drops it.
+	names atomic.Pointer[map[string]NodeID]
 
 	// pathObserver, when set, is called after every longest-path
 	// (re)computation the oracle performs on a cache miss; see
@@ -143,6 +156,9 @@ func (g *Graph) AddNode(name string, op Op) NodeID {
 	g.ctrlOut = append(g.ctrlOut, nil)
 	g.tempIn = append(g.tempIn, nil)
 	g.tempOut = append(g.tempOut, nil)
+	g.precIn = append(g.precIn, nil)
+	g.precOut = append(g.precOut, nil)
+	g.names.Store(nil)
 	return id
 }
 
@@ -162,14 +178,31 @@ func (g *Graph) SetOp(v NodeID, op Op) {
 	g.nodes[v].Op = op
 }
 
-// NodeByName returns the node with the given name.
+// NodeByName returns the node with the given name (the first one, should
+// Validate's uniqueness rule be broken). It is safe for concurrent use by
+// readers of an unchanging graph.
 func (g *Graph) NodeByName(name string) (Node, bool) {
+	id, ok := g.nameIndex()[name]
+	if !ok {
+		return Node{}, false
+	}
+	return g.nodes[id], true
+}
+
+// nameIndex returns the name -> ID map, building it on first use.
+// Concurrent first callers may each build one; the maps are equal.
+func (g *Graph) nameIndex() map[string]NodeID {
+	if m := g.names.Load(); m != nil {
+		return *m
+	}
+	m := make(map[string]NodeID, len(g.nodes))
 	for _, n := range g.nodes {
-		if n.Name == name {
-			return n, true
+		if _, dup := m[n.Name]; !dup {
+			m[n.Name] = n.ID
 		}
 	}
-	return Node{}, false
+	g.names.Store(&m)
+	return m
 }
 
 // MustNode returns the ID of the node with the given name, panicking if it
@@ -216,25 +249,36 @@ func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind) error {
 		g.structGen++
 		g.dataIn[to] = append(g.dataIn[to], from)
 		g.dataOut[from] = append(g.dataOut[from], to)
+		g.link(from, to)
 	case ControlEdge:
-		if contains(g.ctrlOut[from], to) {
+		if contains(g.ctrlIn[to], from) {
 			return fmt.Errorf("cdfg: duplicate control edge %s->%s", g.nodes[from].Name, g.nodes[to].Name)
 		}
 		g.structGen++
 		g.ctrlIn[to] = append(g.ctrlIn[to], from)
 		g.ctrlOut[from] = append(g.ctrlOut[from], to)
+		g.link(from, to)
 	case TemporalEdge:
-		if contains(g.tempOut[from], to) {
+		if contains(g.tempIn[to], from) {
 			return fmt.Errorf("cdfg: duplicate temporal edge %s->%s", g.nodes[from].Name, g.nodes[to].Name)
 		}
 		g.tempGen++
 		g.temporal = append(g.temporal, Edge{From: from, To: to, Kind: TemporalEdge})
 		g.tempIn[to] = append(g.tempIn[to], from)
 		g.tempOut[from] = append(g.tempOut[from], to)
+		g.link(from, to)
 	default:
 		return fmt.Errorf("cdfg: unknown edge kind %v", kind)
 	}
 	return nil
+}
+
+// link records from -> to in the deduplicated precedence adjacency.
+func (g *Graph) link(from, to NodeID) {
+	if !contains(g.precIn[to], from) {
+		g.precIn[to] = append(g.precIn[to], from)
+		g.precOut[from] = append(g.precOut[from], to)
+	}
 }
 
 // MustAddEdge is AddEdge that panics on error; used by builders of
@@ -284,35 +328,31 @@ func (g *Graph) ClearTemporalEdges() {
 	for i := range g.tempIn {
 		g.tempIn[i] = nil
 		g.tempOut[i] = nil
+		g.precIn[i] = g.precIn[i][:0]
+		g.precOut[i] = g.precOut[i][:0]
+	}
+	for v := range g.nodes {
+		for _, u := range g.dataIn[v] {
+			g.link(u, NodeID(v))
+		}
+		for _, u := range g.ctrlIn[v] {
+			g.link(u, NodeID(v))
+		}
 	}
 }
 
 // PredsAll appends to dst the precedence predecessors of v across all edge
-// kinds, deduplicated, and returns the result. Order: data slots first,
-// then control, then temporal.
+// kinds, each once, and returns the result. The order is that of the
+// first edge from each predecessor.
 func (g *Graph) PredsAll(dst []NodeID, v NodeID) []NodeID {
-	return appendUnique(dst, g.dataIn[v], g.ctrlIn[v], g.tempIn[v])
+	return append(dst, g.precIn[v]...)
 }
 
 // SuccsAll appends to dst the precedence successors of v across all edge
-// kinds, deduplicated, and returns the result.
+// kinds, each once, and returns the result. The order is that of the
+// first edge to each successor.
 func (g *Graph) SuccsAll(dst []NodeID, v NodeID) []NodeID {
-	return appendUnique(dst, g.dataOut[v], g.ctrlOut[v], g.tempOut[v])
-}
-
-// appendUnique appends to dst, in order, every node of the lists not
-// already appended. A node has a handful of neighbors, so a linear scan of
-// what was appended beats a set.
-func appendUnique(dst []NodeID, lists ...[]NodeID) []NodeID {
-	start := len(dst)
-	for _, l := range lists {
-		for _, u := range l {
-			if !contains(dst[start:], u) {
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return append(dst, g.precOut[v]...)
 }
 
 // Clone returns a deep copy of the graph. The clone carries the source's
@@ -327,6 +367,8 @@ func (g *Graph) Clone() *Graph {
 	c.ctrlOut = cloneAdj(g.ctrlOut)
 	c.tempIn = cloneAdj(g.tempIn)
 	c.tempOut = cloneAdj(g.tempOut)
+	c.precIn = cloneAdj(g.precIn)
+	c.precOut = cloneAdj(g.precOut)
 	c.temporal = append([]Edge(nil), g.temporal...)
 	c.structGen = g.structGen
 	c.tempGen = g.tempGen
@@ -385,76 +427,83 @@ func (g *Graph) Computational() []NodeID {
 // scheduler refuses cyclic inputs.
 //
 // The order is deterministic: among ready nodes, the smallest NodeID is
-// emitted first (Kahn's algorithm with an ordered frontier).
+// emitted first (Kahn's algorithm with the ready nodes in a min-heap).
 func (g *Graph) TopoOrder() ([]NodeID, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
-	var scratch []NodeID
+	indeg := make([]int32, n)
+	// Ready nodes listed in ascending ID order already form a heap.
+	var ready idHeap
 	for v := 0; v < n; v++ {
-		scratch = g.PredsAll(scratch[:0], NodeID(v))
-		indeg[v] = len(scratch)
-	}
-	// Ordered frontier: a sorted slice used as a priority queue. Frontiers
-	// in these graphs are small relative to n, and determinism matters more
-	// than asymptotics here.
-	var frontier []NodeID
-	for v := 0; v < n; v++ {
+		indeg[v] = int32(len(g.precIn[v]))
 		if indeg[v] == 0 {
-			frontier = append(frontier, NodeID(v))
+			ready = append(ready, NodeID(v))
 		}
 	}
 	order := make([]NodeID, 0, n)
-	for len(frontier) > 0 {
-		// Smallest ID first.
-		best := 0
-		for i := 1; i < len(frontier); i++ {
-			if frontier[i] < frontier[best] {
-				best = i
-			}
-		}
-		v := frontier[best]
-		frontier[best] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
+	for len(ready) > 0 {
+		v := ready.pop()
 		order = append(order, v)
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			indeg[w]--
-			if indeg[w] == 0 {
-				frontier = append(frontier, w)
+		for _, w := range g.precOut[v] {
+			if indeg[w]--; indeg[w] == 0 {
+				ready.push(w)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("cdfg: graph has a precedence cycle (%d of %d nodes ordered)", len(order), n)
+		return nil, cycleError(len(order), n)
 	}
 	return order, nil
+}
+
+func cycleError(ordered, n int) error {
+	return fmt.Errorf("cdfg: graph has a precedence cycle (%d of %d nodes ordered)", ordered, n)
+}
+
+// idHeap is a binary min-heap of node IDs.
+type idHeap []NodeID
+
+func (h *idHeap) push(v NodeID) {
+	q := append(*h, v)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *idHeap) pop() NodeID {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // HasPath reports whether there is a precedence path (over all edge kinds)
 // from src to dst.
 func (g *Graph) HasPath(src, dst NodeID) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{src}
-	seen[src] = true
-	var scratch []NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			if w == dst {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
+	var r Reach
+	return r.Path(g, nil, src, dst)
 }
 
 // SortedIDs returns ids sorted ascending (a convenience for deterministic

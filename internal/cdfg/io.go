@@ -2,9 +2,12 @@ package cdfg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Text format
@@ -22,25 +25,36 @@ import (
 // Write serializes g to w in the text format.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, n := range g.Nodes() {
-		fmt.Fprintf(bw, "node %s %s\n", n.Name, n.Op)
+	for _, n := range g.nodes {
+		writeLine(bw, "node ", n.Name, n.Op.String(), "")
 	}
 	// Data and control edges in destination-slot order, temporal edges in
 	// insertion order, so Write∘Parse is the identity on structure.
-	for _, n := range g.Nodes() {
-		for _, u := range g.DataIn(n.ID) {
-			fmt.Fprintf(bw, "edge %s %s data\n", g.Node(u).Name, n.Name)
+	for v, n := range g.nodes {
+		for _, u := range g.dataIn[v] {
+			writeLine(bw, "edge ", g.nodes[u].Name, n.Name, " data")
 		}
 	}
-	for _, n := range g.Nodes() {
-		for _, u := range g.ctrlIn[n.ID] {
-			fmt.Fprintf(bw, "edge %s %s ctrl\n", g.Node(u).Name, n.Name)
+	for v, n := range g.nodes {
+		for _, u := range g.ctrlIn[v] {
+			writeLine(bw, "edge ", g.nodes[u].Name, n.Name, " ctrl")
 		}
 	}
-	for _, e := range g.TemporalEdges() {
-		fmt.Fprintf(bw, "edge %s %s temp\n", g.Node(e.From).Name, g.Node(e.To).Name)
+	for _, e := range g.temporal {
+		writeLine(bw, "edge ", g.nodes[e.From].Name, g.nodes[e.To].Name, " temp")
 	}
 	return bw.Flush()
+}
+
+// writeLine writes "<head><a> <b><tail>\n". Errors stick in bw and
+// surface at Flush.
+func writeLine(bw *bufio.Writer, head, a, b, tail string) {
+	bw.WriteString(head)
+	bw.WriteString(a)
+	bw.WriteByte(' ')
+	bw.WriteString(b)
+	bw.WriteString(tail)
+	bw.WriteByte('\n')
 }
 
 // String renders the graph in the text format (for debugging and golden
@@ -60,43 +74,44 @@ func Parse(r io.Reader) (*Graph, error) {
 	byName := map[string]NodeID{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	var buf [5][]byte
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		fields := AppendFields(buf[:0], line)
+		switch string(fields[0]) {
 		case "node":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("cdfg: line %d: want 'node <name> <op>', got %q", lineno, line)
 			}
-			name := fields[1]
+			name := string(fields[1])
 			if _, dup := byName[name]; dup {
 				return nil, fmt.Errorf("cdfg: line %d: duplicate node %q", lineno, name)
 			}
-			op, err := ParseOp(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("cdfg: line %d: %v", lineno, err)
+			op, ok := lookupOp(fields[2])
+			if !ok {
+				return nil, fmt.Errorf("cdfg: line %d: %v", lineno, unknownOp(string(fields[2])))
 			}
 			byName[name] = g.AddNode(name, op)
 		case "edge":
 			if len(fields) != 3 && len(fields) != 4 {
 				return nil, fmt.Errorf("cdfg: line %d: want 'edge <from> <to> [kind]', got %q", lineno, line)
 			}
-			from, ok := byName[fields[1]]
+			from, ok := byName[string(fields[1])]
 			if !ok {
 				return nil, fmt.Errorf("cdfg: line %d: unknown node %q", lineno, fields[1])
 			}
-			to, ok := byName[fields[2]]
+			to, ok := byName[string(fields[2])]
 			if !ok {
 				return nil, fmt.Errorf("cdfg: line %d: unknown node %q", lineno, fields[2])
 			}
 			kind := DataEdge
 			if len(fields) == 4 {
-				switch fields[3] {
+				switch string(fields[3]) {
 				case "data":
 					kind = DataEdge
 				case "ctrl":
@@ -120,5 +135,34 @@ func Parse(r io.Reader) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("cdfg: parsed graph invalid: %v", err)
 	}
+	// byName is the graph's name index: the names are unique.
+	g.names.Store(&byName)
 	return g, nil
+}
+
+// AppendFields appends to dst the fields of line, split around runs of
+// white space exactly as strings.Fields splits them, and returns the
+// result. The fields alias line, so splitting into a caller's fixed
+// array allocates nothing.
+func AppendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }

@@ -13,7 +13,8 @@ import (
 // "never panic" the fuzzer checks the format's round-trip contract: any
 // input Parse accepts must survive Write∘Parse with a byte-identical
 // second dump (Write emits canonical order, so the fixed point is reached
-// after one rewrite).
+// after one rewrite). Parse and Write must also agree byte for byte, in
+// output and in error text, with the fmt-based reference they replaced.
 func FuzzParse(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "designs", "testdata", "*.cdfg"))
 	if err != nil {
@@ -38,15 +39,27 @@ func FuzzParse(f *testing.F) {
 	f.Add("edge a b\n")
 	f.Add("node a in\nnode a in\n")
 	f.Add("bogus directive\n")
+	f.Add("node a in\nnode b add extra\n")
+	f.Add("node a in\nnode b frob\n")
+	f.Add("node a in\nnode b add\nedge a b sideways\n")
+	f.Add("node a in\nnode b add\nedge a b data more\n")
+	f.Add("node\u00a0a\u2003in\n\tnode b\tadd\nedge a\u0085b\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Parse(strings.NewReader(input))
+		ref, refErr := parseReference(strings.NewReader(input))
+		if !sameErr(err, refErr) {
+			t.Fatalf("Parse error %v, reference %v", err, refErr)
+		}
 		if err != nil {
 			return // rejected input: any error is fine, panics are not
 		}
-		var first bytes.Buffer
+		var first, refFirst bytes.Buffer
 		if err := Write(&first, g); err != nil {
 			t.Fatalf("Write of parsed graph failed: %v", err)
+		}
+		if err := writeReference(&refFirst, ref); err != nil || !bytes.Equal(first.Bytes(), refFirst.Bytes()) {
+			t.Fatalf("Write differs from the reference (%v)\ngot:\n%s\nreference:\n%s", err, first.String(), refFirst.String())
 		}
 		g2, err := Parse(bytes.NewReader(first.Bytes()))
 		if err != nil {

@@ -89,12 +89,24 @@ func (o Op) Valid() bool { return o > OpInvalid && o < opSentinel }
 
 // ParseOp converts a mnemonic produced by Op.String back into an Op.
 func ParseOp(s string) (Op, error) {
+	if op, ok := lookupOp([]byte(s)); ok {
+		return op, nil
+	}
+	return OpInvalid, unknownOp(s)
+}
+
+// lookupOp finds the Op whose mnemonic is b.
+func lookupOp(b []byte) (Op, bool) {
 	for op, name := range opNames {
-		if Op(op) != OpInvalid && name == s {
-			return Op(op), nil
+		if Op(op) != OpInvalid && name == string(b) {
+			return Op(op), true
 		}
 	}
-	return OpInvalid, fmt.Errorf("cdfg: unknown operation mnemonic %q", s)
+	return OpInvalid, false
+}
+
+func unknownOp(s string) error {
+	return fmt.Errorf("cdfg: unknown operation mnemonic %q", s)
 }
 
 // IsComputational reports whether the node performs datapath work, as

@@ -144,11 +144,7 @@ func (o *PathOracle) lookup(k oracleKey, kind string, build func() (*oracleEntry
 func (o *PathOracle) entryFor(opts PathOpts) (*oracleEntry, error) {
 	k := o.key(opts.IncludeTemporal, 0, opts.Weight)
 	return o.lookup(k, "longest", func() (*oracleEntry, error) {
-		to, err := o.g.LongestTo(opts)
-		if err != nil {
-			return nil, err
-		}
-		from, err := o.g.LongestFrom(opts)
+		to, from, err := o.g.longest(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +207,8 @@ func (o *PathOracle) LaxitiesW(weight WeightFunc) ([]int, error) {
 func (o *PathOracle) TemporalWeighted(weight WeightFunc, tempW int) (to, from []int, err error) {
 	k := o.key(true, tempW, weight)
 	e, err := o.lookup(k, "temporal_weighted", func() (*oracleEntry, error) {
-		to, from, err := o.g.temporalWeightedPaths(weight, tempW)
+		// A scratch of its own: the entry keeps the result slices.
+		to, from, err := o.g.WeightedLongest(&PathScratch{}, weight, tempW, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -221,47 +218,4 @@ func (o *PathOracle) TemporalWeighted(weight WeightFunc, tempW int) (to, from []
 		return nil, nil, err
 	}
 	return e.to, e.from, nil
-}
-
-// temporalWeightedPaths is the uncached computation behind
-// TemporalWeighted: longest paths over the full precedence relation with
-// temporal edges charged tempW each.
-func (g *Graph) temporalWeightedPaths(weight WeightFunc, tempW int) (toW, fromW []int, err error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := PathOpts{Weight: weight}
-	edgeW := func(a, b NodeID) int {
-		if contains(g.tempOut[a], b) {
-			return tempW
-		}
-		return 0
-	}
-	n := len(g.nodes)
-	toW = make([]int, n)
-	var scratch []NodeID
-	for _, v := range order {
-		best := 0
-		scratch = g.PredsAll(scratch[:0], v)
-		for _, p := range scratch {
-			if cand := toW[p] + edgeW(p, v); cand > best {
-				best = cand
-			}
-		}
-		toW[v] = best + g.nodeWeight(opts, v)
-	}
-	fromW = make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, w := range scratch {
-			if cand := fromW[w] + edgeW(v, w); cand > best {
-				best = cand
-			}
-		}
-		fromW[v] = best + g.nodeWeight(opts, v)
-	}
-	return toW, fromW, nil
 }

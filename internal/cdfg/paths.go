@@ -41,41 +41,15 @@ type PathOpts struct {
 	Weight WeightFunc
 }
 
-func (g *Graph) preds(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	if opts.IncludeTemporal {
-		return appendUnique(dst, g.dataIn[v], g.ctrlIn[v], g.tempIn[v])
-	}
-	return appendUnique(dst, g.dataIn[v], g.ctrlIn[v])
-}
-
-func (g *Graph) succs(opts PathOpts, dst []NodeID, v NodeID) []NodeID {
-	if opts.IncludeTemporal {
-		return appendUnique(dst, g.dataOut[v], g.ctrlOut[v], g.tempOut[v])
-	}
-	return appendUnique(dst, g.dataOut[v], g.ctrlOut[v])
-}
-
 // LongestTo returns, for every node v, the length of the longest path
 // ending at v, including v's own weight. The graph must be acyclic over
-// the selected edge kinds.
+// all edge kinds.
 func (g *Graph) LongestTo(opts PathOpts) ([]int, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	to := make([]int, len(g.nodes))
-	var scratch []NodeID
-	for _, v := range order {
-		best := 0
-		scratch = g.preds(opts, scratch[:0], v)
-		for _, u := range scratch {
-			if to[u] > best {
-				best = to[u]
-			}
-		}
-		to[v] = best + g.nodeWeight(opts, v)
-	}
-	return to, nil
+	return g.longestTo(opts, order), nil
 }
 
 // LongestFrom returns, for every node v, the length of the longest path
@@ -85,20 +59,189 @@ func (g *Graph) LongestFrom(opts PathOpts) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.longestFrom(opts, order), nil
+}
+
+// longest returns LongestTo and LongestFrom, computed on one topological
+// order.
+func (g *Graph) longest(opts PathOpts) (to, from []int, err error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.longestTo(opts, order), g.longestFrom(opts, order), nil
+}
+
+// longestTo and longestFrom are the two passes of LongestTo/LongestFrom
+// over a topological order. A node listed twice in an edge list (a value
+// feeding two input slots, or a control edge beside a data edge) only
+// repeats a candidate of the maximum, so the raw lists serve.
+func (g *Graph) longestTo(opts PathOpts, order []NodeID) []int {
+	to := make([]int, len(g.nodes))
+	for _, v := range order {
+		var best int
+		if opts.IncludeTemporal {
+			best = maxAt(to, g.precIn[v])
+		} else {
+			best = max(maxAt(to, g.dataIn[v]), maxAt(to, g.ctrlIn[v]))
+		}
+		to[v] = best + g.nodeWeight(opts, v)
+	}
+	return to
+}
+
+func (g *Graph) longestFrom(opts PathOpts, order []NodeID) []int {
 	from := make([]int, len(g.nodes))
-	var scratch []NodeID
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
+		var best int
+		if opts.IncludeTemporal {
+			best = maxAt(from, g.precOut[v])
+		} else {
+			best = max(maxAt(from, g.dataOut[v]), maxAt(from, g.ctrlOut[v]))
+		}
+		from[v] = best + g.nodeWeight(opts, v)
+	}
+	return from
+}
+
+// maxAt returns the largest vals[u] over the nodes u of l, or 0.
+func maxAt(vals []int, l []NodeID) int {
+	best := 0
+	for _, u := range l {
+		if vals[u] > best {
+			best = vals[u]
+		}
+	}
+	return best
+}
+
+// PathScratch holds the buffers of WeightedLongest, so a caller that
+// refreshes weighted paths repeatedly (the watermark encoder, once per
+// drawn edge) allocates them once. The zero value is ready to use; one
+// PathScratch serves one goroutine at a time.
+type PathScratch struct {
+	indeg    []int32
+	order    []NodeID
+	to, from []int
+	sources  NodeMarks // nodes a pending edge leaves
+}
+
+// WeightedLongest returns, for every node, the longest weighted path
+// ending at it (to) and starting at it (from), both including the node's
+// own weight, over all edge kinds plus the pending edges. Traversing a
+// temporal or pending edge costs tempW on top: the scheduling watermark
+// realizes each such constraint as a unit operation of weight tempW
+// between its endpoints. Pending edges are precedence constraints not in
+// the graph, such as the ones a watermark encoder has drawn but not yet
+// committed; they may repeat graph edges. The union must be acyclic.
+//
+// The result slices live in s and are overwritten by the next call on s;
+// pass a fresh PathScratch to keep them.
+func (g *Graph) WeightedLongest(s *PathScratch, weight WeightFunc, tempW int, pending []Edge) (to, from []int, err error) {
+	n := len(g.nodes)
+	s.sources.Reset(n)
+	for _, e := range pending {
+		s.sources.Add(e.From)
+	}
+	// Kahn's algorithm with order doubling as the queue: any topological
+	// order gives the same longest paths.
+	s.indeg = resize(s.indeg, n)
+	order := s.order[:0]
+	for v := 0; v < n; v++ {
+		s.indeg[v] = int32(len(g.precIn[v]))
+	}
+	for _, e := range pending {
+		s.indeg[e.To]++
+	}
+	for v := 0; v < n; v++ {
+		if s.indeg[v] == 0 {
+			order = append(order, NodeID(v))
+		}
+	}
+	release := func(w NodeID) {
+		if s.indeg[w]--; s.indeg[w] == 0 {
+			order = append(order, w)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, w := range g.precOut[v] {
+			release(w)
+		}
+		if s.sources.Has(v) {
+			for _, e := range pending {
+				if e.From == v {
+					release(e.To)
+				}
+			}
+		}
+	}
+	s.order = order
+	if len(order) != n {
+		return nil, nil, cycleError(len(order), n)
+	}
+	opts := PathOpts{Weight: weight}
+	// edgeW charges tempW on an edge that is temporal or pending, even
+	// where a data or control edge joins the same pair.
+	edgeW := func(v, w NodeID) int {
+		if contains(g.tempIn[w], v) {
+			return tempW
+		}
+		if s.sources.Has(v) {
+			for _, e := range pending {
+				if e.From == v && e.To == w {
+					return tempW
+				}
+			}
+		}
+		return 0
+	}
+	s.to = resize(s.to, n)
+	to = s.to
+	clear(to)
+	for _, v := range order {
+		// to[v] holds the best path into v; add v's own weight, then
+		// offer the result to v's successors.
+		to[v] += g.nodeWeight(opts, v)
+		for _, w := range g.precOut[v] {
+			to[w] = max(to[w], to[v]+edgeW(v, w))
+		}
+		if s.sources.Has(v) {
+			for _, e := range pending {
+				if e.From == v {
+					to[e.To] = max(to[e.To], to[v]+tempW)
+				}
+			}
+		}
+	}
+	s.from = resize(s.from, n)
+	from = s.from
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
 		best := 0
-		scratch = g.succs(opts, scratch[:0], v)
-		for _, w := range scratch {
-			if from[w] > best {
-				best = from[w]
+		for _, w := range g.precOut[v] {
+			best = max(best, from[w]+edgeW(v, w))
+		}
+		if s.sources.Has(v) {
+			for _, e := range pending {
+				if e.From == v {
+					best = max(best, from[e.To]+tempW)
+				}
 			}
 		}
 		from[v] = best + g.nodeWeight(opts, v)
 	}
-	return from, nil
+	return to, from, nil
+}
+
+// resize returns s with length n, reusing its storage when large enough.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // CriticalPath returns the length of the longest path in the graph over
@@ -137,11 +280,7 @@ func (g *Graph) Laxities() ([]int, error) { return g.LaxitiesW(nil) }
 // latencies), so a watermark embedder can judge criticality in cycles.
 func (g *Graph) LaxitiesW(weight WeightFunc) ([]int, error) {
 	opts := PathOpts{Weight: weight}
-	to, err := g.LongestTo(opts)
-	if err != nil {
-		return nil, err
-	}
-	from, err := g.LongestFrom(opts)
+	to, from, err := g.longest(opts)
 	if err != nil {
 		return nil, err
 	}

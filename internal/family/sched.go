@@ -96,11 +96,12 @@ func (schedFamily) ParseSolution(d Design, text string) (Solution, error) {
 // SchedConfig builds the schedwm.Config for p against g, defaulting the
 // budget exactly like the CLI (critical path + 10% + 1). Exported for
 // the robustness campaign path, which re-embeds through the scheduling
-// engine directly.
+// engine directly. The critical path comes from g's PathOracle, where
+// schedwm.Prepare finds it again.
 func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Config, error) {
 	budget := p.Budget
 	if budget == 0 {
-		cp, err := g.CriticalPath()
+		cp, err := g.Oracle().CriticalPathW(nil)
 		if err != nil {
 			return schedwm.Config{}, fmt.Errorf("design: %v", err)
 		}

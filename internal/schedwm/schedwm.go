@@ -243,7 +243,7 @@ type Analyses struct {
 	Budget  int            // control-step budget (resolved from cfg or critical path)
 	CPSteps int            // unit-step critical path
 	CP      int            // weighted critical path under cfg.OpWeight
-	Lax     []int          // per-node laxities under cfg.OpWeight
+	Lax     []int          // per-node laxities under cfg.OpWeight; shared with the PathOracle, read-only
 	Windows *sched.Windows // ASAP/ALAP lifetime windows for Budget
 	// UnitW is the weight of the unit operation realizing a temporal edge;
 	// StretchBound the longest weighted path such an edge may create;
@@ -268,7 +268,12 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 			return nil, err
 		}
 	}
-	cpSteps, err := g.CriticalPath()
+	// Every analysis below comes from the graph's PathOracle: the unit-step
+	// and weighted ones share its structural entry when OpWeight is nil,
+	// and a caller that already asked for the critical path (as the family
+	// layer does to default the budget) finds them computed.
+	o := g.Oracle()
+	cpSteps, err := o.CriticalPathW(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,11 +282,11 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 	}
 	// Eligibility is judged under the configured weighting (unit steps by
 	// default, machine cycles when OpWeight is set).
-	cp, err := g.CriticalPathW(cfg.OpWeight)
+	cp, err := o.CriticalPathW(cfg.OpWeight)
 	if err != nil {
 		return nil, err
 	}
-	lax, err := g.LaxitiesW(cfg.OpWeight)
+	lax, err := o.LaxitiesW(cfg.OpWeight)
 	if err != nil {
 		return nil, err
 	}
@@ -347,6 +352,7 @@ func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, er
 	if err != nil {
 		return nil, err
 	}
+	sc := new(scratch)
 	var lastErr error
 	for try := 1; try <= cfg.MaxTries; try++ {
 		root, err := rootAt(try)
@@ -374,6 +380,7 @@ func embedOne(g *cdfg.Graph, an *Analyses, rootAt func(try int) (cdfg.NodeID, er
 			weight:       cfg.OpWeight,
 			stretchBound: an.StretchBound,
 			unitW:        an.UnitW,
+			sc:           sc,
 		}, trace)
 		if err != nil {
 			lastErr = err
@@ -399,6 +406,15 @@ type encodeEnv struct {
 	weight       cdfg.WeightFunc // the weighting toW/fromW were built with
 	stretchBound int             // longest weighted path an edge may create
 	unitW        int             // weight of the realizing unit operation
+	sc           *scratch
+}
+
+// scratch is the reusable working storage of one embedding: the walk of
+// the cycle and implication tests and the buffers of the per-edge
+// weighted-path refresh.
+type scratch struct {
+	reach cdfg.Reach
+	paths cdfg.PathScratch
 }
 
 // encode performs steps 2–9 of the Fig. 2 pseudocode on a selected domain.
@@ -486,12 +502,12 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 			}
 			// A temporal edge ni->nj must not create a cycle with existing
 			// precedence (or previously drawn watermark edges).
-			if pathConsidering(g, wm.Edges, nj, ni) {
+			if env.sc.reach.Path(g, wm.Edges, nj, ni) {
 				continue
 			}
 			// Skip pairs already ordered by the specification: the edge
 			// would be implied and carry no evidence.
-			if pathConsidering(g, wm.Edges, ni, nj) {
+			if env.sc.reach.Path(g, wm.Edges, ni, nj) {
 				continue
 			}
 			cands = append(cands, nj)
@@ -511,7 +527,7 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		wm.RankEdges = append(wm.RankEdges, [2]int{d.Order.Rank[ni], d.Order.Rank[nk]})
 		// Refresh the weighted paths so the no-stretch test sees the
 		// accumulated effect of the edges drawn so far.
-		toW, fromW, err := pathsWithPending(g, env.weight, wm.Edges, env.unitW)
+		toW, fromW, err := g.WeightedLongest(&env.sc.paths, env.weight, env.unitW, wm.Edges)
 		if err != nil {
 			return nil, err
 		}
@@ -522,129 +538,6 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 			g.Node(d.Root).Name)
 	}
 	return wm, nil
-}
-
-// pathsWithPending computes weighted longest paths over g (all edge kinds)
-// extended by the pending watermark edges, each modeled as its realizing
-// unit operation of weight unitW. Used to keep the no-stretch test exact
-// while edges accumulate within one encoding pass.
-func pathsWithPending(g *cdfg.Graph, weight cdfg.WeightFunc, pending []cdfg.Edge, unitW int) (toW, fromW []int, err error) {
-	n := g.Len()
-	succ := make([][]cdfg.NodeID, n)
-	pred := make([][]cdfg.NodeID, n)
-	extra := make(map[[2]cdfg.NodeID]bool, len(pending))
-	var scratch []cdfg.NodeID
-	for v := 0; v < n; v++ {
-		scratch = g.SuccsAll(scratch[:0], cdfg.NodeID(v))
-		succ[v] = append(succ[v], scratch...)
-		// Temporal edges already in g will also be realized as unit ops;
-		// charge them the same extra weight as the pending ones.
-		for _, w := range g.TemporalOut(cdfg.NodeID(v)) {
-			extra[[2]cdfg.NodeID{cdfg.NodeID(v), w}] = true
-		}
-	}
-	for _, e := range pending {
-		succ[e.From] = append(succ[e.From], e.To)
-		extra[[2]cdfg.NodeID{e.From, e.To}] = true
-	}
-	indeg := make([]int, n)
-	for v := range succ {
-		for _, w := range succ[v] {
-			pred[w] = append(pred[w], cdfg.NodeID(v))
-			indeg[w]++
-		}
-	}
-	wOf := func(v cdfg.NodeID) int {
-		op := g.Node(v).Op
-		if !op.IsComputational() {
-			return 0
-		}
-		if weight != nil {
-			return weight(op)
-		}
-		return 1
-	}
-	edgeW := func(a, b cdfg.NodeID) int {
-		if extra[[2]cdfg.NodeID{a, b}] {
-			return unitW
-		}
-		return 0
-	}
-	// Topological order over the extended graph.
-	var frontier []cdfg.NodeID
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			frontier = append(frontier, cdfg.NodeID(v))
-		}
-	}
-	var order []cdfg.NodeID
-	for len(frontier) > 0 {
-		v := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		order = append(order, v)
-		for _, w := range succ[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				frontier = append(frontier, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, nil, fmt.Errorf("schedwm: pending edges create a cycle")
-	}
-	toW = make([]int, n)
-	for _, v := range order {
-		best := 0
-		for _, p := range pred[v] {
-			if cand := toW[p] + edgeW(p, v); cand > best {
-				best = cand
-			}
-		}
-		toW[v] = best + wOf(v)
-	}
-	fromW = make([]int, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0
-		for _, w := range succ[v] {
-			if cand := fromW[w] + edgeW(v, w); cand > best {
-				best = cand
-			}
-		}
-		fromW[v] = best + wOf(v)
-	}
-	return toW, fromW, nil
-}
-
-// pathConsidering reports whether there is a precedence path from src to
-// dst in g, also considering the pending (not yet inserted) edges.
-func pathConsidering(g *cdfg.Graph, pending []cdfg.Edge, src, dst cdfg.NodeID) bool {
-	if src == dst {
-		return true
-	}
-	seen := map[cdfg.NodeID]bool{src: true}
-	stack := []cdfg.NodeID{src}
-	var scratch []cdfg.NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		scratch = g.SuccsAll(scratch[:0], v)
-		for _, e := range pending {
-			if e.From == v {
-				scratch = append(scratch, e.To)
-			}
-		}
-		for _, u := range scratch {
-			if u == dst {
-				return true
-			}
-			if !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return false
 }
 
 func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {

@@ -46,8 +46,8 @@ type specTrace struct {
 }
 
 type specStep struct {
-	pendingLen int                // wm.Edges prefix active during this step's checks
-	pairs      [][2]cdfg.NodeID   // accepted (n_i, n_j) candidates, selection order
+	pendingLen int              // wm.Edges prefix active during this step's checks
+	pairs      [][2]cdfg.NodeID // accepted (n_i, n_j) candidates, selection order
 }
 
 // Spec is one speculatively embedded watermark: the result embedOne
@@ -119,12 +119,21 @@ func (sp *Spec) Valid(g *cdfg.Graph, cfg Config, an *Analyses, delta []cdfg.Edge
 		return true
 	}
 	wm := sp.WM
-	// fwd[v]: a new path into v may exist (v is reachable from some delta
-	// head). bwd[v]: a new path out of v may exist (v reaches some delta
-	// tail). Both traverse the full pending set — a superset of every
-	// step's prefix — so "not flagged" is definitive for all steps.
-	fwd := reachFromDelta(g, wm.Edges, delta, false)
-	bwd := reachFromDelta(g, wm.Edges, delta, true)
+	// fwd marks v if a new path into v may exist (v is reachable from some
+	// delta head), bwd if a new path out of v may exist (v reaches some
+	// delta tail). Both traverse the full pending set — a superset of every
+	// step's prefix — so "not marked" is definitive for all steps. The
+	// delta edges themselves are already in g; seeding with their
+	// endpoints makes the endpoints count as trivially reachable.
+	heads := make([]cdfg.NodeID, len(delta))
+	tails := make([]cdfg.NodeID, len(delta))
+	for i, e := range delta {
+		heads[i], tails[i] = e.To, e.From
+	}
+	var fwd, bwd, walk cdfg.Reach
+	fwd.Walk(g, wm.Edges, false, cdfg.None, heads...)
+	bwd.Walk(g, wm.Edges, true, cdfg.None, tails...)
+	var paths cdfg.PathScratch
 	var toW, fromW []int
 	havePrefix := -1
 	for _, st := range sp.trace.steps {
@@ -133,10 +142,10 @@ func (sp *Spec) Valid(g *cdfg.Graph, cfg Config, an *Analyses, delta []cdfg.Edge
 			ni, nj := pr[0], pr[1]
 			// Stretch: toW[ni] can only have grown if ni sees a delta head,
 			// fromW[nj] only if nj reaches a delta tail.
-			if fwd[ni] || bwd[nj] {
+			if fwd.Reached(ni) || bwd.Reached(nj) {
 				if havePrefix != st.pendingLen {
 					var err error
-					toW, fromW, err = pathsWithPending(g, cfg.OpWeight, prefix, an.UnitW)
+					toW, fromW, err = g.WeightedLongest(&paths, cfg.OpWeight, an.UnitW, prefix)
 					if err != nil {
 						return false // delta + pending now cycles: genuine conflict
 					}
@@ -148,61 +157,14 @@ func (sp *Spec) Valid(g *cdfg.Graph, cfg Config, an *Analyses, delta []cdfg.Edge
 			}
 			// Cycle check: a new path nj -> ni needs nj to reach a delta
 			// tail and ni to be reachable from a delta head.
-			if bwd[nj] && fwd[ni] && pathConsidering(g, prefix, nj, ni) {
+			if bwd.Reached(nj) && fwd.Reached(ni) && walk.Path(g, prefix, nj, ni) {
 				return false
 			}
 			// Implication check, same reasoning with the roles swapped.
-			if bwd[ni] && fwd[nj] && pathConsidering(g, prefix, ni, nj) {
+			if bwd.Reached(ni) && fwd.Reached(nj) && walk.Path(g, prefix, ni, nj) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// reachFromDelta flags, over g plus the spec's pending edges, the nodes
-// reachable from the delta edges' heads (forward) or the nodes reaching
-// the delta edges' tails (backward). The delta edges themselves are
-// already in g; seeding with their endpoints makes the endpoints count as
-// trivially reachable.
-func reachFromDelta(g *cdfg.Graph, pending []cdfg.Edge, delta []cdfg.Edge, backward bool) []bool {
-	seen := make([]bool, g.Len())
-	var stack []cdfg.NodeID
-	push := func(v cdfg.NodeID) {
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	for _, e := range delta {
-		if backward {
-			push(e.From)
-		} else {
-			push(e.To)
-		}
-	}
-	var scratch []cdfg.NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if backward {
-			scratch = g.PredsAll(scratch[:0], v)
-			for _, e := range pending {
-				if e.To == v {
-					scratch = append(scratch, e.From)
-				}
-			}
-		} else {
-			scratch = g.SuccsAll(scratch[:0], v)
-			for _, e := range pending {
-				if e.From == v {
-					scratch = append(scratch, e.To)
-				}
-			}
-		}
-		for _, u := range scratch {
-			push(u)
-		}
-	}
-	return seen
 }

@@ -26,16 +26,18 @@ import (
 // WriteCover serializes c against g and lib in the text format.
 func WriteCover(w io.Writer, g *cdfg.Graph, lib *Library, c *Cover) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "cover v1\n")
+	bw.WriteString("cover v1\n")
 	for _, m := range c.Matchings {
 		if m.Template < 0 || m.Template >= len(lib.Templates) {
 			return fmt.Errorf("tmatch: matching references template %d outside the library", m.Template)
 		}
-		fmt.Fprintf(bw, "m %s", lib.Templates[m.Template].Name)
+		bw.WriteString("m ")
+		bw.WriteString(lib.Templates[m.Template].Name)
 		for _, v := range m.Nodes {
-			fmt.Fprintf(bw, " %s", g.Node(v).Name)
+			bw.WriteByte(' ')
+			bw.WriteString(g.Node(v).Name)
 		}
-		fmt.Fprintf(bw, "\n")
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
