@@ -13,7 +13,6 @@ import (
 	"localwm/internal/attack"
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/gcolor"
 	"localwm/internal/order"
 	"localwm/internal/prng"
@@ -548,37 +547,6 @@ func BenchmarkCacheLocality(b *testing.B) {
 				}
 			}
 			b.ReportMetric(missPct, "miss%")
-		})
-	}
-}
-
-// BenchmarkEmbedManyParallel compares sequential EmbedMany against the
-// parallel engine at several worker counts on the largest registry design
-// (n=16 independent local watermarks). workers=1 is the sequential
-// baseline; the byte-compare in cmd/lwm bench already guards identity, so
-// this benchmark only tracks the time split. On a single-CPU host the
-// parallel rows measure pure speculation overhead.
-func BenchmarkEmbedManyParallel(b *testing.B) {
-	tmplCfg := designs.MediaBench()[4].Cfg // 1755 ops
-	g := designs.Layered(tmplCfg)
-	cp, err := g.CriticalPath()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := schedwm.Config{Tau: 14, K: 3, Epsilon: 0.1, Budget: cp + cp/2 + 2}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var embedded float64
-			for i := 0; i < b.N; i++ {
-				fresh := g.Clone()
-				wms, err := engine.EmbedMany(fresh, benchSig, cfg, 16, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				embedded = float64(len(wms))
-			}
-			b.ReportMetric(embedded, "watermarks")
 		})
 	}
 }

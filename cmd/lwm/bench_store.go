@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,7 +13,6 @@ import (
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
@@ -20,6 +20,28 @@ import (
 	"localwm/lwmapi"
 	"localwm/lwmclient"
 )
+
+// cmdBench benchmarks the daemon's design registry — repeat remote
+// detects inline versus by reference — and writes BENCH_store.json; see
+// benchStore. -store names that mode and is required, so an invocation
+// written for another mode fails instead of silently measuring this one.
+func cmdBench(args []string) error {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	n := fs.Int("n", 2, "watermarks per design")
+	iters := fs.Int("iters", 3, "timing iterations (best is reported)")
+	out := fs.String("o", "BENCH_store.json", "output file")
+	storeMode := fs.Bool("store", false, "benchmark the design registry: repeat remote detects inline vs by reference")
+	remote := fs.String("remote", "", "lwmd daemon address (empty: boot an in-process daemon)")
+	apiKeyFlag(fs)
+	repeats := fs.Int("repeats", 12, "detect calls per timing loop")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if !*storeMode {
+		return fmt.Errorf("bench: -store is required (it is the only benchmark mode)")
+	}
+	return benchStore(*remote, *n, *repeats, *iters, *out)
+}
 
 // storeBenchRow is one design's repeat-detect comparison: the same
 // suspect scanned against the same records, once shipping the design
@@ -103,7 +125,7 @@ func benchStore(remote string, n, repeats, iters int, out string) error {
 		// Prepare the suspect locally: marked design, its schedule, and
 		// the detection records.
 		work := g.Clone()
-		wms, err := engine.EmbedMany(work, prng.Signature("alice"), cfg, n, 1)
+		wms, err := schedwm.EmbedMany(work, prng.Signature("alice"), cfg, n)
 		if err != nil {
 			return fmt.Errorf("%s: embed: %v", e.name, err)
 		}

@@ -55,7 +55,7 @@ func familyFlag(fs *flag.FlagSet) *string {
 // user actually set, leaving the rest zero for the family's Normalize to
 // default — the flag defaults (n=2, τ=20, …) are the scheduling
 // family's and must not leak into other families.
-func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget, workers *int) lwmapi.MarkParams {
+func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget *int) lwmapi.MarkParams {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var p lwmapi.MarkParams
@@ -73,9 +73,6 @@ func markParamsFrom(fs *flag.FlagSet, n, tau, k *int, eps *float64, budget, work
 	}
 	if set["budget"] {
 		p.Budget = *budget
-	}
-	if workers != nil && set["workers"] {
-		p.Workers = *workers
 	}
 	return p
 }
@@ -166,11 +163,7 @@ func familyEmbed(ctx context.Context, fam, remote, in, ref, sig string, params l
 		if err != nil {
 			return fmt.Errorf("design: %v", err)
 		}
-		workers := params.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		resp, err = proto.Embed(ctx, d, sig, params, workers)
+		resp, err = proto.Embed(ctx, d, sig, params, 1)
 		if err != nil {
 			return err
 		}
@@ -340,11 +333,7 @@ func familyVerify(ctx context.Context, fam, remote, in, ref, solPath, sig string
 		if err != nil {
 			return fmt.Errorf("schedule: %v", err)
 		}
-		workers := params.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		resp, err = proto.Verify(ctx, family.Suspect{Design: d, Solution: sol}, sig, params, workers)
+		resp, err = proto.Verify(ctx, family.Suspect{Design: d, Solution: sol}, sig, params, 1)
 		if err != nil {
 			return err
 		}

@@ -238,7 +238,6 @@ func cmdVerify(args []string) error {
 	k := fs.Int("k", 4, "temporal edges per watermark K")
 	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
 	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	workers := fs.Int("workers", 1, "parallel re-derivation workers (verdict is identical for any value)")
 	remote := fs.String("remote", "", "lwmd daemon address (empty: verify in-process)")
 	apiKeyFlag(fs)
 	ref := fs.String("ref", "", "design registry reference in place of -in (remote only; see lwm design put)")
@@ -254,10 +253,10 @@ func cmdVerify(args []string) error {
 	defer finishTrace()
 	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
 		return familyVerify(ctx, f, *remote, *in, *ref, *schedPath, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget, workers))
+			markParamsFrom(fs, n, tau, k, eps, budget))
 	}
 	if *remote != "" {
-		return remoteVerify(ctx, *remote, *in, *ref, *schedPath, *sig, *n, *tau, *k, *eps, *budget, *workers)
+		return remoteVerify(ctx, *remote, *in, *ref, *schedPath, *sig, *n, *tau, *k, *eps, *budget)
 	}
 	g, err := loadGraph(*in)
 	if err != nil {
@@ -275,8 +274,8 @@ func cmdVerify(args []string) error {
 		*budget = cp + cp/10 + 1
 	}
 	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	det, err := engine.VerifyOwnershipCtx(ctx, g, s, prng.Signature(*sig), cfg, *n, *workers)
+	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
+	det, err := engine.VerifyOwnershipCtx(ctx, g, s, prng.Signature(*sig), cfg, *n)
 	if err != nil {
 		return err
 	}
@@ -441,7 +440,6 @@ func cmdEmbed(args []string) error {
 	k := fs.Int("k", 4, "temporal edges per watermark K")
 	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
 	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	workers := fs.Int("workers", 1, "parallel embedding workers (result is identical for any value)")
 	out := fs.String("out", "", "marked design output file")
 	solPath := fs.String("solution", "", "marked solution output file (tmwm: template cover; gcolor: coloring)")
 	recPath := fs.String("record", "", "detection record output file (JSON)")
@@ -460,13 +458,13 @@ func cmdEmbed(args []string) error {
 	defer finishTrace()
 	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
 		return familyEmbed(ctx, f, *remote, *in, *ref, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget, workers), *out, *solPath, *recPath)
+			markParamsFrom(fs, n, tau, k, eps, budget), *out, *solPath, *recPath)
 	}
 	if *solPath != "" {
 		return fmt.Errorf("-solution only applies to -family tmwm or gcolor (scheduling watermarks live in the marked design)")
 	}
 	if *remote != "" {
-		return remoteEmbed(ctx, *remote, *in, *ref, *sig, *n, *tau, *k, *eps, *budget, *workers, *out, *recPath)
+		return remoteEmbed(ctx, *remote, *in, *ref, *sig, *n, *tau, *k, *eps, *budget, *out, *recPath)
 	}
 	g, err := loadGraph(*in)
 	if err != nil {
@@ -480,8 +478,8 @@ func cmdEmbed(args []string) error {
 		*budget = cp + cp/10 + 1
 	}
 	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(*sig), cfg, *n, *workers)
+	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
+	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(*sig), cfg, *n)
 	if err != nil {
 		return err
 	}

@@ -143,7 +143,7 @@ func cmdDesignGet(args []string) error {
 // printed line, same output files (marked design + detection record).
 // A trace on ctx (lwm embed -trace -remote ...) collects the client's
 // call/attempt spans with server-side stage timings as attributes.
-func remoteEmbed(ctx context.Context, addr, in, ref, sig string, n, tau, k int, eps float64, budget, workers int, out, recPath string) error {
+func remoteEmbed(ctx context.Context, addr, in, ref, sig string, n, tau, k int, eps float64, budget int, out, recPath string) error {
 	c, err := newRemoteClient(addr)
 	if err != nil {
 		return err
@@ -157,7 +157,7 @@ func remoteEmbed(ctx context.Context, addr, in, ref, sig string, n, tau, k int, 
 		DesignRef: ref,
 		Signature: sig,
 		MarkParams: lwmclient.MarkParams{
-			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget, Workers: workers,
+			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget,
 		},
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func remoteDetect(ctx context.Context, addr, in, ref, schedPath, recPath string,
 
 // remoteVerify mirrors cmdVerify against a daemon: same claim report and
 // the same exit-3-on-unverified contract.
-func remoteVerify(ctx context.Context, addr, in, ref, schedPath, sig string, n, tau, k int, eps float64, budget, workers int) error {
+func remoteVerify(ctx context.Context, addr, in, ref, schedPath, sig string, n, tau, k int, eps float64, budget int) error {
 	c, err := newRemoteClient(addr)
 	if err != nil {
 		return err
@@ -259,7 +259,7 @@ func remoteVerify(ctx context.Context, addr, in, ref, schedPath, sig string, n, 
 		Schedule:  string(schedule),
 		Signature: sig,
 		MarkParams: lwmclient.MarkParams{
-			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget, Workers: workers,
+			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget,
 		},
 	})
 	if err != nil {

@@ -206,7 +206,7 @@ func TestRemoteModeSurfacesServiceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty signature is a 400 from the daemon.
-	err := remoteEmbed(context.Background(), ts.URL, design, "", "", 2, 16, 3, 0.4, 0, 1, "", "")
+	err := remoteEmbed(context.Background(), ts.URL, design, "", "", 2, 16, 3, 0.4, 0, "", "")
 	if err == nil {
 		t.Fatal("empty signature accepted")
 	}

@@ -95,8 +95,8 @@ func cmdRobust(args []string) error {
 		}
 		*budget = cp + cp/10 + 1
 	}
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget, Parallelism: *workers}
-	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, *n, *workers)
+	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
+	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, *n)
 	if err != nil {
 		return fmt.Errorf("robust: embedding: %v", err)
 	}

@@ -138,8 +138,8 @@ func run(args []string) error {
 	embedWorkers := fs.Int("embed-workers", 2, "concurrent embed requests")
 	detectWorkers := fs.Int("detect-workers", runtime.NumCPU(), "concurrent detect requests")
 	verifyWorkers := fs.Int("verify-workers", 2, "concurrent verify requests")
-	engineWorkers := fs.Int("engine-workers", runtime.NumCPU(), "default engine parallelism per request")
-	maxEngineWorkers := fs.Int("max-engine-workers", 4*runtime.NumCPU(), "cap on request-supplied engine parallelism")
+	engineWorkers := fs.Int("engine-workers", runtime.NumCPU(), "default fan-out width per detect batch or campaign grid")
+	maxEngineWorkers := fs.Int("max-engine-workers", 4*runtime.NumCPU(), "cap on request-supplied fan-out width")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request deadline (queue wait + execution)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight work on shutdown")
 	designWorkers := fs.Int("design-workers", 2, "concurrent design-registry requests")

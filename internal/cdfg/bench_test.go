@@ -73,3 +73,18 @@ func BenchmarkTemporalWeighted(b *testing.B) {
 		})
 	}
 }
+
+var cloneSink *cdfg.Graph
+
+// BenchmarkClone times Graph.Clone, which every ownership verification
+// and every robustness Prepare makes of the design.
+func BenchmarkClone(b *testing.B) {
+	for _, c := range benchGraphs(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cloneSink = c.g.Clone()
+			}
+		})
+	}
+}

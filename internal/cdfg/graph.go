@@ -375,11 +375,22 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// cloneAdj copies the lists of a into one backing array. Each copy is a
+// full slice expression whose capacity ends at its own length, so an
+// append on the clone reallocates instead of writing into the next
+// node's list.
 func cloneAdj(a [][]NodeID) [][]NodeID {
+	total := 0
+	for _, l := range a {
+		total += len(l)
+	}
+	flat := make([]NodeID, 0, total)
 	out := make([][]NodeID, len(a))
 	for i, l := range a {
-		if l != nil {
-			out[i] = append([]NodeID(nil), l...)
+		if len(l) > 0 {
+			start := len(flat)
+			flat = append(flat, l...)
+			out[i] = flat[start:len(flat):len(flat)]
 		}
 	}
 	return out

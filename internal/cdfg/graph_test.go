@@ -2,6 +2,7 @@ package cdfg
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -166,6 +167,60 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if g.String() == c.String() {
 		t.Fatal("clone not independent")
+	}
+}
+
+// TestCloneAppendLeavesSiblings: a clone's adjacency lists share one
+// backing array per kind, so an edge added on the clone must reallocate
+// the lists it grows. For every edge the diamond can take, the original
+// keeps all its lists and the clone keeps every list the edge does not
+// grow: the in-lists of its head and the out-lists of its tail.
+func TestCloneAppendLeavesSiblings(t *testing.T) {
+	g := diamond(t)
+	g.MustAddEdge(g.MustNode("b"), g.MustNode("c"), ControlEdge)
+	g.MustAddEdge(g.MustNode("a"), g.MustNode("d"), TemporalEdge)
+	snapshot := func(g *Graph) [][][]NodeID {
+		var out [][][]NodeID
+		for _, adj := range [][][]NodeID{g.dataIn, g.dataOut, g.ctrlIn, g.ctrlOut, g.tempIn, g.tempOut, g.precIn, g.precOut} {
+			kind := make([][]NodeID, len(adj))
+			for v, l := range adj {
+				kind[v] = slices.Clone(l)
+			}
+			out = append(out, kind)
+		}
+		return out
+	}
+	want := snapshot(g)
+	edges := 0
+	for _, kind := range []EdgeKind{DataEdge, ControlEdge, TemporalEdge} {
+		for from := NodeID(0); int(from) < g.Len(); from++ {
+			for to := NodeID(0); int(to) < g.Len(); to++ {
+				c := g.Clone()
+				if c.AddEdge(from, to, kind) != nil {
+					continue
+				}
+				edges++
+				for k, lists := range snapshot(g) {
+					for v, l := range lists {
+						if !slices.Equal(l, want[k][v]) {
+							t.Fatalf("%v edge %d->%d on the clone changed the original's list %d of node %d", kind, from, to, k, v)
+						}
+					}
+				}
+				for k, lists := range snapshot(c) {
+					in := k%2 == 0 // the snapshot alternates in- and out-lists
+					for v, l := range lists {
+						grown := (in && NodeID(v) == to) || (!in && NodeID(v) == from)
+						if !grown && !slices.Equal(l, want[k][v]) {
+							t.Fatalf("%v edge %d->%d changed the clone's list %d of node %d: %v, was %v", kind, from, to, k, v, l, want[k][v])
+						}
+					}
+				}
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no edge could be added")
 	}
 }
 

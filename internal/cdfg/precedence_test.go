@@ -135,9 +135,8 @@ func sameErr(a, b error) bool {
 // reference on g: TopoOrder, the PredsAll/SuccsAll sets, NodeByName,
 // LongestTo/LongestFrom, the PathOracle entries and HasPath; and, with
 // every prefix of pending as the pending edges, WeightedLongest and
-// reachability between the given pairs and from the prefix's endpoints.
-// It repeats the adjacency checks after Clone and after
-// ClearTemporalEdges.
+// reachability between the given pairs. It repeats the adjacency checks
+// after Clone and after ClearTemporalEdges.
 func checkPrecedence(t testing.TB, g *Graph, pending []Edge, weight WeightFunc, tempW int, pairs [][2]NodeID) {
 	t.Helper()
 	checkAdjacency(t, "graph", g)
@@ -175,7 +174,7 @@ func checkPrecedence(t testing.TB, g *Graph, pending []Edge, weight WeightFunc, 
 	// references on the graph with the prefix inserted, through one
 	// scratch and one walk reused throughout.
 	var ps PathScratch
-	var walk, fwd, bwd Reach
+	var walk Reach
 	for k := 0; k <= len(pending); k++ {
 		prefix := pending[:k]
 		ext := withPending(g, prefix)
@@ -188,21 +187,6 @@ func checkPrecedence(t testing.TB, g *Graph, pending []Edge, weight WeightFunc, 
 		for _, p := range pairs {
 			if got, want := walk.Path(g, prefix, p[0], p[1]), ext.hasPathReference(p[0], p[1]); got != want {
 				t.Fatalf("Path(%d, %d) with pending %v = %v, reference %v", p[0], p[1], prefix, got, want)
-			}
-		}
-		// Multi-seed walks from the prefix's heads, and back from its
-		// tails, as the speculation check runs them.
-		var heads, tails []NodeID
-		for _, e := range prefix {
-			heads, tails = append(heads, e.To), append(tails, e.From)
-		}
-		fwd.Walk(g, prefix, false, None, heads...)
-		bwd.Walk(g, prefix, true, None, tails...)
-		wantFwd, wantBwd := ext.reachReference(heads, false), ext.reachReference(tails, true)
-		for v := NodeID(0); int(v) < g.Len(); v++ {
-			if fwd.Reached(v) != wantFwd[v] || bwd.Reached(v) != wantBwd[v] {
-				t.Fatalf("node %d: forward walk %v (reference %v), backward walk %v (reference %v)",
-					v, fwd.Reached(v), wantFwd[v], bwd.Reached(v), wantBwd[v])
 			}
 		}
 	}

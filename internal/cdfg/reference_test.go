@@ -201,37 +201,6 @@ func (g *Graph) hasPathReference(src, dst NodeID) bool {
 	return false
 }
 
-// reachReference is the walk of the former schedwm.reachFromDelta, on a
-// graph with the pending edges inserted: it flags the nodes reachable
-// from seeds, or reaching them when backward is set, seeds included.
-func (g *Graph) reachReference(seeds []NodeID, backward bool) []bool {
-	seen := make([]bool, len(g.nodes))
-	var stack []NodeID
-	push := func(v NodeID) {
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	for _, v := range seeds {
-		push(v)
-	}
-	var scratch []NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if backward {
-			scratch = g.predsAllReference(scratch[:0], v)
-		} else {
-			scratch = g.succsAllReference(scratch[:0], v)
-		}
-		for _, u := range scratch {
-			push(u)
-		}
-	}
-	return seen
-}
-
 // nodeByNameReference is the former NodeByName: a scan of every node.
 func (g *Graph) nodeByNameReference(name string) (Node, bool) {
 	for _, n := range g.nodes {

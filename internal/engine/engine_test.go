@@ -1,18 +1,24 @@
-package engine
+package engine_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
+	"localwm/internal/engine"
+	"localwm/internal/family"
+	"localwm/internal/obs"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
+	"localwm/lwmapi"
 )
 
 // testDesigns is the cross-section the determinism properties run over:
@@ -42,22 +48,29 @@ func dump(t *testing.T, g *cdfg.Graph) []byte {
 	return buf.Bytes()
 }
 
-// TestEmbedBitIdenticalAcrossWorkerCounts is the engine's core guarantee:
-// for the same seed, every Parallelism level produces byte-for-byte the
-// same marked design and structurally identical watermarks. It is also the
-// determinism property test: two runs at the same worker count go through
-// the same comparison against the sequential reference.
+// TestEmbedBitIdenticalAcrossWorkerCounts: for every worker count the
+// daemon can hand the scheduling family, family.SchedConfig builds the
+// same config, and the traced entry point embeds byte-for-byte the
+// marked design and the watermarks schedwm.EmbedMany does.
 func TestEmbedBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	cfg := schedwm.Config{Tau: 14, K: 3, Epsilon: 0.2}
-	const n = 8
+	p := lwmapi.MarkParams{N: 8, Tau: 14, K: 3, Epsilon: 0.2}
 	for name, g := range testDesigns(t) {
 		t.Run(name, func(t *testing.T) {
 			ref := g.Clone()
-			want, wantErr := schedwm.EmbedMany(ref, prng.Signature("alice"), cfg, n)
+			refCfg, err := family.SchedConfig(ref, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := schedwm.EmbedMany(ref, prng.Signature("alice"), refCfg, p.N)
 			wantDump := dump(t, ref)
 			for _, workers := range []int{1, 2, 8} {
 				got := g.Clone()
-				wms, err := EmbedMany(got, prng.Signature("alice"), cfg, n, workers)
+				cfg, err := family.SchedConfig(got, p, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := obs.WithTrace(context.Background(), obs.NewTrace("embed"))
+				wms, err := engine.EmbedManyCtx(ctx, got, prng.Signature("alice"), cfg, p.N)
 				if (err == nil) != (wantErr == nil) {
 					t.Fatalf("workers=%d: err %v, sequential err %v", workers, err, wantErr)
 				}
@@ -67,14 +80,8 @@ func TestEmbedBitIdenticalAcrossWorkerCounts(t *testing.T) {
 					}
 					continue
 				}
-				if len(wms) != len(want) {
-					t.Fatalf("workers=%d: %d watermarks, sequential %d", workers, len(wms), len(want))
-				}
-				for i := range wms {
-					if !reflect.DeepEqual(wms[i], want[i]) {
-						t.Errorf("workers=%d: watermark %d differs:\n got %+v\nwant %+v",
-							workers, i, wms[i], want[i])
-					}
+				if !reflect.DeepEqual(wms, want) {
+					t.Errorf("workers=%d: watermarks differ from sequential", workers)
 				}
 				if gotDump := dump(t, got); !bytes.Equal(gotDump, wantDump) {
 					t.Errorf("workers=%d: marked design differs from sequential", workers)
@@ -84,58 +91,11 @@ func TestEmbedBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEmbedBitIdenticalConflictHeavy forces overlapping localities — a
-// small design, many watermarks, generous K — so speculations collide,
-// validations fail, and the replay path actually runs.
-func TestEmbedBitIdenticalConflictHeavy(t *testing.T) {
-	g := designs.WaveletFilter()
-	cfg := schedwm.Config{Tau: 12, K: 4, Epsilon: 0.1, Budget: 40}
-	const n = 12
-	ref := g.Clone()
-	want, err := schedwm.EmbedMany(ref, prng.Signature("bob"), cfg, n)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got := g.Clone()
-		wms, err := EmbedMany(got, prng.Signature("bob"), cfg, n, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(wms, want) {
-			t.Fatalf("workers=%d: watermarks diverged from sequential", workers)
-		}
-		if !bytes.Equal(dump(t, got), dump(t, ref)) {
-			t.Fatalf("workers=%d: marked design diverged from sequential", workers)
-		}
-	}
-}
-
-// TestEmbedPinnedRoot covers the cfg.Root != nil regime, where the pick
-// sequence is empty and offsets never move.
-func TestEmbedPinnedRoot(t *testing.T) {
-	g := designs.FourthOrderParallelIIR()
-	root, _ := designs.IIRSubtree(g)
-	cfg := schedwm.Config{Tau: 10, K: 2, Epsilon: 0.2, Root: &root}
-	ref := g.Clone()
-	want, wantErr := schedwm.EmbedMany(ref, prng.Signature("alice"), cfg, 4)
-	got := g.Clone()
-	wms, err := EmbedMany(got, prng.Signature("alice"), cfg, 4, 4)
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("err %v, sequential %v", err, wantErr)
-	}
-	if !reflect.DeepEqual(wms, want) {
-		t.Fatalf("watermarks diverged under pinned root")
-	}
-	if !bytes.Equal(dump(t, got), dump(t, ref)) {
-		t.Fatalf("marked design diverged under pinned root")
-	}
-}
-
 // TestEmbedErrorsIdentical checks the failure surface: invalid configs and
 // impossible embeddings must fail with the sequential error text.
 func TestEmbedErrorsIdentical(t *testing.T) {
 	g := designs.ModemFilter()
+	ctx := context.Background()
 	cases := []schedwm.Config{
 		{Tau: 0, K: 3, Epsilon: 0.2},             // invalid τ
 		{Tau: 10, K: 3, Epsilon: 0.2, Budget: 1}, // budget below critical path
@@ -143,7 +103,7 @@ func TestEmbedErrorsIdentical(t *testing.T) {
 	}
 	for i, cfg := range cases {
 		_, wantErr := schedwm.EmbedMany(g.Clone(), prng.Signature("alice"), cfg, 3)
-		_, err := EmbedMany(g.Clone(), prng.Signature("alice"), cfg, 3, 4)
+		_, err := engine.EmbedManyCtx(ctx, g.Clone(), prng.Signature("alice"), cfg, 3)
 		if wantErr == nil || err == nil {
 			t.Fatalf("case %d: expected errors, got %v / %v", i, wantErr, err)
 		}
@@ -151,14 +111,14 @@ func TestEmbedErrorsIdentical(t *testing.T) {
 			t.Fatalf("case %d: err %q, sequential %q", i, err, wantErr)
 		}
 	}
-	if _, err := EmbedMany(g.Clone(), prng.Signature(""), schedwm.Config{Tau: 10, K: 3, Epsilon: 0.2}, 3, 4); err == nil {
+	if _, err := engine.EmbedManyCtx(ctx, g.Clone(), prng.Signature(""), schedwm.Config{Tau: 10, K: 3, Epsilon: 0.2}, 3); err == nil {
 		t.Fatalf("empty signature must fail like the sequential path")
 	}
 }
 
 // markedSuspect embeds and schedules one suspect design for the detection
 // tests.
-func markedSuspect(t *testing.T, g *cdfg.Graph, sig string, n int) (Suspect, []schedwm.Record, schedwm.Config) {
+func markedSuspect(t *testing.T, g *cdfg.Graph, sig string, n int) (engine.Suspect, []schedwm.Record, schedwm.Config) {
 	t.Helper()
 	cp, err := g.CriticalPath()
 	if err != nil {
@@ -177,37 +137,46 @@ func markedSuspect(t *testing.T, g *cdfg.Graph, sig string, n int) (Suspect, []s
 	for i, wm := range wms {
 		recs[i] = wm.Record()
 	}
-	return Suspect{Graph: g, Schedule: s}, recs, cfg
+	return engine.Suspect{Graph: g, Schedule: s}, recs, cfg
 }
 
 // TestDetectBatchMatchesSequential fans detection out across suspects and
-// records and compares every cell against a direct schedwm.Detect call.
+// records and compares every cell against a direct schedwm.Detect call,
+// at one and at four workers under one and two scheduling CPUs.
 func TestDetectBatchMatchesSequential(t *testing.T) {
 	susA, recsA, _ := markedSuspect(t, designs.WaveletFilter(), "alice", 3)
 	susB, recsB, _ := markedSuspect(t, designs.ModemFilter(), "bob", 3)
-	suspects := []Suspect{susA, susB}
+	suspects := []engine.Suspect{susA, susB}
 	recs := append(append([]schedwm.Record{}, recsA...), recsB...)
 
-	got := DetectBatch(suspects, recs, 8)
-	for i, sus := range suspects {
-		for j, rec := range recs {
-			want, wantErr := schedwm.Detect(sus.Graph, sus.Schedule, rec)
-			cell := got[i][j]
-			if (cell.Err == nil) != (wantErr == nil) {
-				t.Fatalf("cell %d,%d: err %v, sequential %v", i, j, cell.Err, wantErr)
+	for _, procs := range []int{1, 2} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, workers := range []int{1, 4} {
+			got := engine.DetectBatch(suspects, recs, workers)
+			for i, sus := range suspects {
+				for j, rec := range recs {
+					want, wantErr := schedwm.Detect(sus.Graph, sus.Schedule, rec)
+					cell := got[i][j]
+					if (cell.Err == nil) != (wantErr == nil) {
+						t.Fatalf("GOMAXPROCS=%d workers=%d cell %d,%d: err %v, sequential %v",
+							procs, workers, i, j, cell.Err, wantErr)
+					}
+					if wantErr == nil && !reflect.DeepEqual(cell.Det, want) {
+						t.Errorf("GOMAXPROCS=%d workers=%d cell %d,%d: detection differs from sequential",
+							procs, workers, i, j)
+					}
+				}
 			}
-			if wantErr == nil && !reflect.DeepEqual(cell.Det, want) {
-				t.Errorf("cell %d,%d: detection differs from sequential", i, j)
-			}
-		}
-	}
-	// Own-signature records must be found. (Cross-signature cells are not
-	// asserted: a short record can be satisfied by coincidence — exactly
-	// the case Detection.Convincing discounts.)
-	for i := range suspects {
-		for j := range recs {
-			if own := (i == 0) == (j < len(recsA)); own && !got[i][j].Det.Found {
-				t.Errorf("cell %d,%d: own watermark not found", i, j)
+			// Own-signature records must be found. (Cross-signature cells
+			// are not asserted: a short record can be satisfied by
+			// coincidence — exactly the case Detection.Convincing
+			// discounts.)
+			for i := range suspects {
+				for j := range recs {
+					if own := (i == 0) == (j < len(recsA)); own && !got[i][j].Det.Found {
+						t.Errorf("cell %d,%d: own watermark not found", i, j)
+					}
+				}
 			}
 		}
 	}
@@ -215,7 +184,8 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 
 // TestConcurrentDetectSharedGraph is the race stress test: many goroutines
 // detect against one shared suspect graph (and its shared PathOracle)
-// while others verify ownership, all without cloning. Run under -race.
+// while others verify ownership, all without cloning — as concurrent
+// daemon requests do on a registry design. Run under -race.
 func TestConcurrentDetectSharedGraph(t *testing.T) {
 	g := designs.LinearGEController()
 	sus, recs, cfg := markedSuspect(t, g, "alice", 4)
@@ -253,7 +223,7 @@ func TestConcurrentDetectSharedGraph(t *testing.T) {
 						return
 					}
 				} else {
-					det, err := VerifyOwnership(sus.Graph, sus.Schedule, prng.Signature("alice"), cfg, 4, 2)
+					det, err := engine.VerifyOwnershipCtx(context.Background(), sus.Graph, sus.Schedule, prng.Signature("alice"), cfg, 4)
 					if err != nil {
 						errc <- err
 						return
@@ -273,31 +243,21 @@ func TestConcurrentDetectSharedGraph(t *testing.T) {
 	}
 }
 
-// TestVerifyOwnershipParallelMatches compares the engine's verification
-// against the sequential one, for both a true and a false claim.
-func TestVerifyOwnershipParallelMatches(t *testing.T) {
+// TestVerifyOwnershipMatchesSequential compares the traced entry point's
+// verification against the sequential one, for both a true and a false
+// claim.
+func TestVerifyOwnershipMatchesSequential(t *testing.T) {
 	g := designs.WaveletFilter()
 	sus, _, cfg := markedSuspect(t, g, "alice", 3)
 	for _, sig := range []string{"alice", "mallory"} {
 		want, wantErr := schedwm.VerifyOwnership(sus.Graph, sus.Schedule, prng.Signature(sig), cfg, 3)
-		for _, workers := range []int{2, 8} {
-			got, err := VerifyOwnership(sus.Graph, sus.Schedule, prng.Signature(sig), cfg, 3, workers)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("sig %q workers %d: err %v, sequential %v", sig, workers, err, wantErr)
-			}
-			if wantErr == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("sig %q workers %d: verification diverged", sig, workers)
-			}
+		ctx := obs.WithTrace(context.Background(), obs.NewTrace("verify"))
+		got, err := engine.VerifyOwnershipCtx(ctx, sus.Graph, sus.Schedule, prng.Signature(sig), cfg, 3)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("sig %q: err %v, sequential %v", sig, err, wantErr)
 		}
-	}
-	batch := VerifyBatch([]Suspect{sus, sus}, prng.Signature("alice"), cfg, 3, 8)
-	want, _ := schedwm.VerifyOwnership(sus.Graph, sus.Schedule, prng.Signature("alice"), cfg, 3)
-	for i, cell := range batch {
-		if cell.Err != nil {
-			t.Fatalf("batch %d: %v", i, cell.Err)
-		}
-		if !reflect.DeepEqual(cell.Det, want) {
-			t.Fatalf("batch %d: diverged from sequential", i)
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("sig %q: verification diverged", sig)
 		}
 	}
 }
@@ -306,51 +266,54 @@ func TestVerifyOwnershipParallelMatches(t *testing.T) {
 // daemon surfaces. Counters are global and monotone, so the test asserts
 // deltas around its own work rather than absolute values.
 func TestStatsCounters(t *testing.T) {
-	g := designs.FourthOrderParallelIIR()
-	cp, err := g.CriticalPath()
-	if err != nil {
-		t.Fatal(err)
+	sus, recs, _ := markedSuspect(t, designs.FourthOrderParallelIIR(), "counter", 6)
+	for _, workers := range []int{1, 4} {
+		before := engine.Stats()
+		engine.DetectBatch([]engine.Suspect{sus}, recs, workers)
+		after := engine.Stats()
+		if after.PoolRuns != before.PoolRuns+1 {
+			t.Fatalf("workers=%d: PoolRuns %d -> %d, want one fan-out", workers, before.PoolRuns, after.PoolRuns)
+		}
+		if after.PoolJobs < before.PoolJobs+uint64(len(recs)) {
+			t.Fatalf("workers=%d: PoolJobs advanced %d, want >= %d",
+				workers, after.PoolJobs-before.PoolJobs, len(recs))
+		}
 	}
-	cfg := schedwm.Config{Tau: 14, K: 3, Epsilon: 0.1, Budget: cp + cp/2 + 2}
-	const n = 6
+}
 
-	// The pool counters only advance on the parallel path; on a 1-CPU
-	// host the engine auto-degrades to sequential (see SeqDegrades), so
-	// pin a second scheduling CPU for the duration of the test.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+// TestRunPoolJoinsWorkers runs every job exactly once at each width and
+// checks that the goroutine count settles back to where it started once
+// RunPool returns: the pool joins every worker it starts.
+func TestRunPoolJoinsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{0, 1, 4, 64} {
+		var mu sync.Mutex
+		seen := make(map[int]int)
+		engine.RunPool(workers, 50, func(job int) {
+			mu.Lock()
+			seen[job]++
+			mu.Unlock()
+		})
+		for job := 0; job < 50; job++ {
+			if seen[job] != 1 {
+				t.Fatalf("workers=%d: job %d ran %d times", workers, job, seen[job])
+			}
+		}
+		settle(t, base)
+	}
+}
 
-	before := Stats()
-	work := g.Clone()
-	wms, err := EmbedMany(work, prng.Signature("counter"), cfg, n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := Stats()
-	if after.PoolRuns <= before.PoolRuns {
-		t.Fatalf("PoolRuns did not advance: %d -> %d", before.PoolRuns, after.PoolRuns)
-	}
-	if after.PoolJobs < before.PoolJobs+n {
-		t.Fatalf("PoolJobs advanced %d, want >= %d (hint pre-pass)",
-			after.PoolJobs-before.PoolJobs, n)
-	}
-	// Every index either committed its speculation or was repaired.
-	if got := (after.SpecCommits - before.SpecCommits) + (after.SpecRepairs - before.SpecRepairs); got < n {
-		t.Fatalf("commit walk accounted for %d indices, want >= %d", got, n)
-	}
-
-	// Detection fans out on the pool too.
-	s, err := sched.ListSchedule(work, sched.ListOpts{UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []schedwm.Record
-	for _, wm := range wms {
-		recs = append(recs, wm.Record())
-	}
-	mid := Stats()
-	DetectBatch([]Suspect{{Graph: work, Schedule: s}}, recs, 4)
-	end := Stats()
-	if end.PoolJobs < mid.PoolJobs+uint64(len(recs)) {
-		t.Fatalf("DetectBatch jobs advanced %d, want >= %d", end.PoolJobs-mid.PoolJobs, len(recs))
+// settle waits until the goroutine count is back at base, failing after
+// a second. A worker has called wg.Done before it exits, so the count
+// can briefly trail RunPool's return.
+func settle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, started with %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
 }

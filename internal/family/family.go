@@ -81,13 +81,17 @@ type Protocol interface {
 	// error text is field-free; callers prefix the field name.
 	ParseSolution(d Design, text string) (Solution, error)
 	// Embed embeds params.N watermarks derived from sig into a privately
-	// owned design (callers clone registry copies first).
+	// owned design (callers clone registry copies first). Embedding is
+	// sequential in every family; workers is ignored.
 	Embed(ctx context.Context, d Design, sig string, params lwmapi.MarkParams, workers int) (*lwmapi.EmbedResponse, error)
-	// Detect scans every record in every suspect. Per-pair failures land
-	// in the outcome's Error field; only request-level failures error.
+	// Detect scans every record in every suspect, fanning the
+	// suspect×record pairs out on up to workers goroutines where the
+	// family supports it. Per-pair failures land in the outcome's Error
+	// field; only request-level failures error.
 	Detect(ctx context.Context, suspects []Suspect, records []lwmapi.Record, workers int) (*lwmapi.DetectResponse, error)
 	// Verify adjudicates an ownership claim by re-deriving params.N
-	// watermarks from sig and checking them against the suspect.
+	// watermarks from sig and checking them against the suspect. Like
+	// Embed it is sequential; workers is ignored.
 	Verify(ctx context.Context, sp Suspect, sig string, params lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error)
 }
 

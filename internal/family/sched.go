@@ -97,7 +97,8 @@ func (schedFamily) ParseSolution(d Design, text string) (Solution, error) {
 // budget exactly like the CLI (critical path + 10% + 1). Exported for
 // the robustness campaign path, which re-embeds through the scheduling
 // engine directly. The critical path comes from g's PathOracle, where
-// schedwm.Prepare finds it again.
+// schedwm.Prepare finds it again. workers does not reach the config:
+// embedding runs sequentially at every worker count.
 func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Config, error) {
 	budget := p.Budget
 	if budget == 0 {
@@ -107,10 +108,7 @@ func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Confi
 		}
 		budget = cp + cp/10 + 1
 	}
-	cfg := schedwm.Config{
-		Tau: p.Tau, K: p.K, Epsilon: p.Epsilon, Budget: budget,
-		Parallelism: workers,
-	}
+	cfg := schedwm.Config{Tau: p.Tau, K: p.K, Epsilon: p.Epsilon, Budget: budget}
 	if _, err := cfg.Normalized(); err != nil {
 		return schedwm.Config{}, err
 	}
@@ -124,7 +122,7 @@ func (schedFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.Mar
 		return nil, err
 	}
 	ObserveGraph(ctx, g)
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N, cfg.Parallelism)
+	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N)
 	if err != nil {
 		return nil, fmt.Errorf("embedding: %v", err)
 	}
@@ -187,7 +185,7 @@ func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.
 		ObserveGraph(ctx, g)
 	}
 	det, err := engine.VerifyOwnershipCtx(ctx, g, sp.Solution.(*sched.Schedule),
-		prng.Signature(sig), cfg, p.N, cfg.Parallelism)
+		prng.Signature(sig), cfg, p.N)
 	if err != nil {
 		return nil, fmt.Errorf("verifying: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -65,6 +66,13 @@ func FormatGraph(g *Graph) string {
 	return sb.String()
 }
 
+// MaxVertices bounds the vertex count ParseGraph accepts. The count
+// arrives before any edge and costs an adjacency set per vertex up
+// front, so without a bound a 20-byte body ("n 1000000000") makes the
+// parser allocate tens of gigabytes. 1<<16 is 80 times the largest
+// graph (800 vertices) the benchmark's color traffic sends.
+const MaxVertices = 1 << 16
+
 // ParseGraph reads a graph in the text format.
 func ParseGraph(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -94,6 +102,9 @@ func ParseGraph(r io.Reader) (*Graph, error) {
 			var n int
 			if len(fields) != 2 || !scanInt(fields[1], &n) || n < 1 {
 				return nil, fmt.Errorf("gcolor: line %d: want 'n <count>', got %q", lineno, line)
+			}
+			if n > MaxVertices {
+				return nil, fmt.Errorf("gcolor: line %d: %d vertices, more than %d", lineno, n, MaxVertices)
 			}
 			g = NewGraph(n)
 		case "e":
@@ -197,7 +208,8 @@ func ParseColoring(n int, r io.Reader) (Coloring, error) {
 }
 
 // scanInt parses a strict base-10 integer field (no signs beyond '-', no
-// trailing junk — fmt.Sscanf would accept "3x" as 3).
+// trailing junk — fmt.Sscanf would accept "3x" as 3), rejecting values
+// an int cannot hold rather than wrapping them.
 func scanInt(s string, out *int) bool {
 	if s == "" {
 		return false
@@ -216,7 +228,11 @@ func scanInt(s string, out *int) bool {
 		if s[i] < '0' || s[i] > '9' {
 			return false
 		}
-		n = n*10 + int(s[i]-'0')
+		d := int(s[i] - '0')
+		if n > (math.MaxInt-d)/10 {
+			return false
+		}
+		n = n*10 + d
 	}
 	if neg {
 		n = -n

@@ -1,6 +1,7 @@
 package gcolor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,49 @@ func TestColoringCodecErrors(t *testing.T) {
 	} {
 		if _, err := ParseColoring(2, strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestParseGraphBoundsVertexCount: the vertex count is read before any
+// edge and allocates per vertex, so a count above MaxVertices is
+// rejected instead of allocated.
+func TestParseGraphBoundsVertexCount(t *testing.T) {
+	if _, err := ParseGraph(strings.NewReader("gcolor v1\nn 1000000\n")); err == nil {
+		t.Fatal("a million-vertex count was accepted")
+	}
+	g, err := ParseGraph(strings.NewReader(fmt.Sprintf("gcolor v1\nn %d\n", MaxVertices)))
+	if err != nil {
+		t.Fatalf("MaxVertices rejected: %v", err)
+	}
+	if g.N() != MaxVertices {
+		t.Fatalf("parsed %d vertices, want %d", g.N(), MaxVertices)
+	}
+}
+
+// TestParseGraphRejectsOverflow: integers past the int range are errors,
+// not values wrapped into range (2^64+1 used to parse as 1).
+func TestParseGraphRejectsOverflow(t *testing.T) {
+	for name, text := range map[string]string{
+		"count":  "gcolor v1\nn 18446744073709551617\n",
+		"source": "gcolor v1\nn 3\ne 18446744073709551616 1\n",
+		"target": "gcolor v1\nn 3\ne 0 18446744073709551617\n",
+	} {
+		if _, err := ParseGraph(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: overflowing integer accepted", name)
+		}
+	}
+}
+
+// TestParseColoringRejectsOverflow: the coloring codec shares the strict
+// integer scan, so its vertex and color fields reject overflow too.
+func TestParseColoringRejectsOverflow(t *testing.T) {
+	for name, text := range map[string]string{
+		"vertex": "coloring v1\nc 0 0\nc 18446744073709551617 1\n",
+		"color":  "coloring v1\nc 0 0\nc 1 18446744073709551617\n",
+	} {
+		if _, err := ParseColoring(2, strings.NewReader(text)); err == nil {
+			t.Errorf("%s: overflowing integer accepted", name)
 		}
 	}
 }

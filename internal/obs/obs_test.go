@@ -103,7 +103,7 @@ func TestSumPrefix(t *testing.T) {
 	tr := NewTrace("t")
 	start := time.Now()
 	outer := tr.StartSpan(nil, "engine.embed")
-	tr.Record(outer, "engine.speculate", start, 5*time.Millisecond)
+	tr.Record(outer, "engine.detect[0][0]", start, 5*time.Millisecond)
 	tr.mu.Lock()
 	outer.end = outer.Start.Add(10 * time.Millisecond)
 	tr.mu.Unlock()

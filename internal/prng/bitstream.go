@@ -63,10 +63,8 @@ func MustBitstream(sig Signature) *Bitstream {
 }
 
 // Clone returns an independent bitstream that will emit exactly the bits
-// the original would emit next, without advancing the original. The
-// parallel embedding engine uses clones to pre-draw root-selection
-// sequences speculatively while keeping the master stream untouched until
-// results commit.
+// the original would emit next, without advancing the original, so the
+// same draws can be replayed.
 func (b *Bitstream) Clone() *Bitstream {
 	return &Bitstream{c: b.c.Clone(), buf: b.buf, nbits: b.nbits, emitted: b.emitted}
 }

@@ -9,18 +9,17 @@
 //
 // Determinism is the package's contract: every attack unit draws its
 // randomness from a bitstream keyed by seed|family|intensity|trial, the
-// unit grid is executed by a worker pool into a position-indexed slice,
-// and aggregation walks that slice in battery order — so the same
-// campaign produces a byte-identical report at any worker count, on the
-// synchronous server path, through the async job queue, or offline in
-// the CLI.
+// unit grid is executed on the engine's worker pool (engine.RunPool) into
+// a position-indexed slice, and aggregation walks that slice in battery
+// order — so the same campaign produces a byte-identical report at any
+// worker count, on the synchronous server path, through the async job
+// queue, or offline in the CLI.
 package robust
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"localwm/internal/attack"
@@ -184,10 +183,10 @@ type Baseline struct {
 // the fresh temporal edges, then strip them again for the shipped view.
 // The input graph is never mutated. cfg must carry an explicit positive
 // Budget (callers normalize params first).
-func Prepare(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg schedwm.Config, n, workers int) (*Baseline, error) {
+func Prepare(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg schedwm.Config, n int) (*Baseline, error) {
 	marked := g.Clone()
 	marked.ClearTemporalEdges()
-	wms, err := engine.EmbedManyCtx(ctx, marked, sig, cfg, n, workers)
+	wms, err := engine.EmbedManyCtx(ctx, marked, sig, cfg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -277,29 +276,11 @@ func Run(ctx context.Context, c *Campaign) (*lwmapi.RobustnessReport, error) {
 		}
 	}
 	outcomes := make([]outcome, len(grid))
-	workers := c.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(grid) {
-		workers = len(grid)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(grid) || ctx.Err() != nil {
-					return
-				}
-				outcomes[i] = runUnit(base, c.Seed, c.Battery.Alpha, grid[i])
-			}
-		}()
-	}
-	wg.Wait()
+	engine.RunPool(c.Workers, len(grid), func(i int) {
+		if ctx.Err() == nil {
+			outcomes[i] = runUnit(base, c.Seed, c.Battery.Alpha, grid[i])
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

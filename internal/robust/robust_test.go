@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"localwm/internal/designs"
 	"localwm/internal/prng"
@@ -22,7 +26,7 @@ func testBaseline(t *testing.T, appIdx, n int) *Baseline {
 		t.Fatal(err)
 	}
 	cfg := schedwm.Config{Tau: 20, K: 4, Epsilon: 0.25, Budget: cp + cp/10 + 1}
-	base, err := Prepare(context.Background(), g, prng.Signature("alice"), cfg, n, 1)
+	base, err := Prepare(context.Background(), g, prng.Signature("alice"), cfg, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +109,30 @@ func TestNormalizeValidation(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers is the campaign half of the
 // determinism satellite: the same seed and battery produce a
-// byte-identical report at any worker count.
+// byte-identical report at any worker count, under one and two
+// scheduling CPUs.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	base := testBaseline(t, 0, 2)
 	battery := testBattery(t)
 	var first []byte
-	for _, workers := range []int{1, 3, 8} {
-		rep, err := Run(context.Background(), &Campaign{
-			Baseline: base, Seed: "s1", Battery: battery, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = data
-		} else if !bytes.Equal(first, data) {
-			t.Fatalf("workers=%d report differs:\n%s\nvs\n%s", workers, first, data)
+	for _, procs := range []int{1, 2} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, workers := range []int{1, 3, 4, 8} {
+			rep, err := Run(context.Background(), &Campaign{
+				Baseline: base, Seed: "s1", Battery: battery, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: %v", procs, workers, err)
+			}
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = data
+			} else if !bytes.Equal(first, data) {
+				t.Fatalf("GOMAXPROCS=%d workers=%d report differs:\n%s\nvs\n%s", procs, workers, first, data)
+			}
 		}
 	}
 }
@@ -238,6 +246,9 @@ func TestRunTotalCrop(t *testing.T) {
 	}
 }
 
+// TestRunCancelled cancels a campaign before it starts and another in
+// the middle of its unit grid: both fail with the context's error, and
+// the pool's goroutines are gone once Run returns.
 func TestRunCancelled(t *testing.T) {
 	base := testBaseline(t, 0, 1)
 	battery := testBattery(t)
@@ -246,6 +257,43 @@ func TestRunCancelled(t *testing.T) {
 	if _, err := Run(ctx, &Campaign{Baseline: base, Seed: "c", Battery: battery, Workers: 2}); err == nil {
 		t.Fatal("cancelled campaign succeeded")
 	}
+
+	goroutines := runtime.NumGoroutine()
+	before := Stats().Units
+	mid := &cancelAfter{Context: context.Background(), checks: 3}
+	_, err := Run(mid, &Campaign{Baseline: base, Seed: "c", Battery: battery, Workers: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign cancelled mid-grid: err %v, want context.Canceled", err)
+	}
+	if ran := Stats().Units - before; ran == 0 || ran >= uint64(Units(battery)) {
+		t.Fatalf("%d of %d units ran, want the grid cut short", ran, Units(battery))
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled campaign, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled from its
+// checks-th Err call on: Run checks once per unit, so the campaign is
+// cancelled part way through its grid whatever the scheduling.
+type cancelAfter struct {
+	context.Context
+	mu     sync.Mutex
+	checks int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.checks > 0 {
+		c.checks--
+		return nil
+	}
+	return context.Canceled
 }
 
 func TestStatsCount(t *testing.T) {

@@ -203,8 +203,8 @@ func VerifyOwnership(g *cdfg.Graph, s *sched.Schedule, sig prng.Signature,
 
 // CheckConstraints is the verification half of VerifyOwnership: it checks
 // the temporal constraints of re-derived watermarks against the suspect
-// schedule. Split out so the parallel engine can perform the re-derivation
-// itself (engine.EmbedMany on a clone) and still score identically.
+// schedule. Split out so a caller that re-derives the watermarks itself
+// (EmbedMany on a clone) scores them identically.
 func CheckConstraints(g *cdfg.Graph, s *sched.Schedule, wms []*Watermark) (*Detection, error) {
 	budget := s.Budget
 	if budget < s.Makespan() {

@@ -192,50 +192,3 @@ func prepareReference(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 		LaxityBound:  float64(cp) * (1 - cfg.Epsilon),
 	}, nil
 }
-
-// reachFromDelta flags, over g plus the spec's pending edges, the nodes
-// reachable from the delta edges' heads (forward) or the nodes reaching
-// the delta edges' tails (backward). The delta edges themselves are
-// already in g; seeding with their endpoints makes the endpoints count as
-// trivially reachable.
-func reachFromDelta(g *cdfg.Graph, pending []cdfg.Edge, delta []cdfg.Edge, backward bool) []bool {
-	seen := make([]bool, g.Len())
-	var stack []cdfg.NodeID
-	push := func(v cdfg.NodeID) {
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	for _, e := range delta {
-		if backward {
-			push(e.From)
-		} else {
-			push(e.To)
-		}
-	}
-	var scratch []cdfg.NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if backward {
-			scratch = g.PredsAll(scratch[:0], v)
-			for _, e := range pending {
-				if e.To == v {
-					scratch = append(scratch, e.From)
-				}
-			}
-		} else {
-			scratch = g.SuccsAll(scratch[:0], v)
-			for _, e := range pending {
-				if e.From == v {
-					scratch = append(scratch, e.To)
-				}
-			}
-		}
-		for _, u := range scratch {
-			push(u)
-		}
-	}
-	return seen
-}

@@ -115,9 +115,10 @@ func (s *Server) resolveSuspect(ctx context.Context, proto family.Protocol, fiel
 	return family.Suspect{Design: d, Solution: sol, Shared: shared}, nil
 }
 
-// engineWorkers resolves a request's engine parallelism: the server
-// default when unset, clamped to the configured maximum, and floored at
-// 1 (engine entry points treat <=1 as sequential anyway).
+// engineWorkers resolves a request's fan-out width (detect batches and
+// campaign grids): the server default when unset, clamped to the
+// configured maximum, and floored at 1 (engine.RunPool treats <=1 as
+// sequential anyway).
 func (s *Server) engineWorkers(requested int) int {
 	w := requested
 	if w == 0 {
@@ -172,7 +173,7 @@ func (s *Server) embedWith(ctx context.Context, proto family.Protocol, req *lwma
 	if err != nil {
 		return nil, err
 	}
-	resp, err := proto.Embed(ctx, d, req.Signature, req.MarkParams, s.engineWorkers(req.Workers))
+	resp, err := proto.Embed(ctx, d, req.Signature, req.MarkParams, 1)
 	if err != nil {
 		// Protocol errors carry the exact field-prefixed text the 400
 		// envelope should answer ("design: …", "embedding: …").
@@ -286,7 +287,7 @@ func (s *Server) verifyWith(ctx context.Context, proto family.Protocol, req *lwm
 	if err != nil {
 		return nil, err
 	}
-	resp, err := proto.Verify(ctx, sp, req.Signature, req.MarkParams, s.engineWorkers(req.MarkParams.Workers))
+	resp, err := proto.Verify(ctx, sp, req.Signature, req.MarkParams, 1)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}

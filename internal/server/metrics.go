@@ -329,16 +329,10 @@ func (s *Server) buildRegistry() *obs.Registry {
 		name, help string
 		load       func() uint64
 	}{
-		{"lwmd_engine_pool_runs_total", "Worker-pool fan-outs started by the engine (process-wide).",
+		{"lwmd_engine_pool_runs_total", "Worker-pool fan-outs (detect batches, robustness grids) started (process-wide).",
 			func() uint64 { return engine.Stats().PoolRuns }},
 		{"lwmd_engine_pool_jobs_total", "Jobs executed across all engine fan-outs (process-wide).",
 			func() uint64 { return engine.Stats().PoolJobs }},
-		{"lwmd_engine_spec_commits_total", "Speculative embeddings committed verbatim (process-wide).",
-			func() uint64 { return engine.Stats().SpecCommits }},
-		{"lwmd_engine_spec_repairs_total", "Speculations replayed sequentially (process-wide).",
-			func() uint64 { return engine.Stats().SpecRepairs }},
-		{"lwmd_engine_seq_degrades_total", "Parallel engine calls auto-degraded to the sequential path on a single-CPU process.",
-			func() uint64 { return engine.Stats().SeqDegrades }},
 		{"lwmd_oracle_hits_total", "PathOracle longest-path cache hits (process-wide).",
 			func() uint64 { h, _ := cdfg.OracleStats(); return h }},
 		{"lwmd_oracle_misses_total", "PathOracle lookups that recomputed longest paths (process-wide).",
@@ -506,11 +500,8 @@ func (s *Server) snapshot() map[string]any {
 	}
 	es := engine.Stats()
 	out["engine"] = map[string]any{
-		"pool_runs":    es.PoolRuns,
-		"pool_jobs":    es.PoolJobs,
-		"spec_commits": es.SpecCommits,
-		"spec_repairs": es.SpecRepairs,
-		"seq_degrades": es.SeqDegrades,
+		"pool_runs": es.PoolRuns,
+		"pool_jobs": es.PoolJobs,
 	}
 	sc := s.store.Counters()
 	out["store"] = map[string]any{

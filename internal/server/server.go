@@ -71,8 +71,9 @@ const (
 type Config struct {
 	// EmbedWorkers, DetectWorkers, VerifyWorkers size the per-endpoint
 	// request worker pools: how many requests of that kind execute
-	// concurrently. Zero defaults to 2 for embed/verify (engine-parallel
-	// inside) and NumCPU for detect (read-only fan-out).
+	// concurrently. Zero defaults to 2 for embed/verify (each request
+	// runs sequentially, so the host's CPUs serve concurrent requests)
+	// and NumCPU for detect (each request fans out itself).
 	EmbedWorkers, DetectWorkers, VerifyWorkers int
 	// DesignWorkers sizes the design-registry endpoint's worker pool
 	// (puts parse and warm a design; gets are cheap). Zero defaults to 2.
@@ -83,7 +84,7 @@ type Config struct {
 	JobWorkers int
 	// RobustWorkers sizes the /v1/robustness endpoint's worker pool: how
 	// many synchronous campaigns (and async-campaign submits) run
-	// concurrently. Each campaign parallelizes its own attack units with
+	// concurrently. Each campaign fans its own attack units out with
 	// the request's engine worker count, so a small pool suffices. Zero
 	// defaults to 2.
 	RobustWorkers int
@@ -96,9 +97,10 @@ type Config struct {
 	// QueueSize is each endpoint's pending-request capacity beyond the
 	// workers. Zero defaults to 64.
 	QueueSize int
-	// EngineWorkers is the default schedwm.Config.Parallelism handed to
-	// the engine for requests that don't pick their own worker count.
-	// Zero defaults to NumCPU.
+	// EngineWorkers is the default fan-out width of a detect batch or a
+	// robustness campaign's unit grid, for requests that don't pick their
+	// own worker count. Embed and verify run sequentially whatever the
+	// value. Zero defaults to NumCPU.
 	EngineWorkers int
 	// MaxEngineWorkers caps request-supplied worker counts so one client
 	// cannot demand an arbitrary fan-out. Zero defaults to 4×NumCPU.

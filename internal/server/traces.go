@@ -33,8 +33,8 @@ import (
 // concurrent requests the delta includes neighbors' work — it is an
 // attribution hint, not an exact accounting.
 type engineSnapshot struct {
-	poolRuns, poolJobs, specCommits, specRepairs, seqDegrades uint64
-	oracleHits, oracleMisses                                  uint64
+	poolRuns, poolJobs       uint64
+	oracleHits, oracleMisses uint64
 }
 
 func takeEngineSnapshot() engineSnapshot {
@@ -42,9 +42,7 @@ func takeEngineSnapshot() engineSnapshot {
 	h, m := cdfg.OracleStats()
 	return engineSnapshot{
 		poolRuns: es.PoolRuns, poolJobs: es.PoolJobs,
-		specCommits: es.SpecCommits, specRepairs: es.SpecRepairs,
-		seqDegrades: es.SeqDegrades,
-		oracleHits:  h, oracleMisses: m,
+		oracleHits: h, oracleMisses: m,
 	}
 }
 
@@ -59,9 +57,6 @@ func (a engineSnapshot) delta(b engineSnapshot) map[string]uint64 {
 	}
 	add("pool_runs", a.poolRuns, b.poolRuns)
 	add("pool_jobs", a.poolJobs, b.poolJobs)
-	add("spec_commits", a.specCommits, b.specCommits)
-	add("spec_repairs", a.specRepairs, b.specRepairs)
-	add("seq_degrades", a.seqDegrades, b.seqDegrades)
 	add("oracle_hits", a.oracleHits, b.oracleHits)
 	add("oracle_misses", a.oracleMisses, b.oracleMisses)
 	if len(out) == 0 {

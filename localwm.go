@@ -121,11 +121,8 @@ func EmbedSchedulingWatermark(g *Graph, sig Signature, cfg SchedulingConfig) (*S
 }
 
 // EmbedSchedulingWatermarks embeds up to n independent local watermarks.
-// When cfg.Parallelism is greater than 1 the watermarks are speculated
-// concurrently on that many workers (internal/engine); the result is
-// bit-identical to the sequential embedding either way.
 func EmbedSchedulingWatermarks(g *Graph, sig Signature, cfg SchedulingConfig, n int) ([]*SchedulingWatermark, error) {
-	return engine.EmbedMany(g, sig, cfg, n, cfg.Parallelism)
+	return schedwm.EmbedMany(g, sig, cfg, n)
 }
 
 // DetectSchedulingWatermark scans a suspect scheduled design for a
@@ -135,10 +132,9 @@ func DetectSchedulingWatermark(g *Graph, s *ScheduleResult, rec SchedulingRecord
 }
 
 // VerifySchedulingOwnership adjudicates an ownership claim by re-deriving
-// the constraints from the claimed signature. cfg.Parallelism > 1 runs the
-// re-derivation on the parallel engine with an identical verdict.
+// the constraints from the claimed signature.
 func VerifySchedulingOwnership(g *Graph, s *ScheduleResult, sig Signature, cfg SchedulingConfig, n int) (*SchedulingDetection, error) {
-	return engine.VerifyOwnership(g, s, sig, cfg, n, cfg.Parallelism)
+	return schedwm.VerifyOwnership(g, s, sig, cfg, n)
 }
 
 // DetectSchedulingWatermarks checks many records against many suspect
@@ -196,8 +192,8 @@ type (
 	// serving port, DebugHandler() on a loopback-only port, and call
 	// Shutdown to drain gracefully.
 	Service = server.Server
-	// EngineCounters is a snapshot of the parallel engine's cumulative
-	// pool and speculation activity.
+	// EngineCounters is a snapshot of the engine's cumulative worker-pool
+	// activity.
 	EngineCounters = engine.Counters
 )
 
@@ -241,7 +237,7 @@ type (
 // and request order replays the same fault sequence.
 func NewChaosInjector(cfg ChaosConfig) *ChaosInjector { return chaos.New(cfg) }
 
-// EngineStats returns the process-wide parallel-engine counters.
+// EngineStats returns the process-wide engine worker-pool counters.
 func EngineStats() EngineCounters { return engine.Stats() }
 
 // OracleStats reports cumulative longest-path cache hits and misses

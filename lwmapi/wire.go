@@ -139,8 +139,9 @@ type MarkParams struct {
 	Epsilon float64 `json:"epsilon"`
 	// Budget is the control-step budget (sched and tmwm).
 	Budget int `json:"budget"`
-	// Workers is the per-request engine parallelism (0: server default,
-	// clamped to the daemon's configured maximum).
+	// Workers is the fan-out width of a robustness campaign's unit grid
+	// (0: server default, clamped to the daemon's configured maximum).
+	// Embed and verify run sequentially and ignore it.
 	Workers int `json:"workers"`
 }
 
@@ -215,7 +216,8 @@ type DetectRequest struct {
 	Suspects []Suspect `json:"suspects"`
 	// Records are the detector-facing watermark records to scan for.
 	Records []Record `json:"records"`
-	// Workers is the per-request engine parallelism (0: server default).
+	// Workers is the fan-out width over suspect×record pairs (0: server
+	// default, clamped to the daemon's configured maximum).
 	Workers int `json:"workers"`
 }
 

@@ -63,7 +63,8 @@ type DetectRequest struct {
 	// Family selects the watermark family; empty means the scheduling
 	// family. Every chunk carries it.
 	Family string
-	// Workers is the per-request engine parallelism (0: server default).
+	// Workers is each chunk's fan-out width over suspect×record pairs
+	// (0: server default).
 	Workers int
 	// ChunkSize overrides Config.ChunkSize for this call when positive.
 	ChunkSize int
