@@ -6,10 +6,10 @@
 // The pieces, each proven the way the registry's were:
 //
 //   - A durable job store: every submission and state transition is
-//     appended to a write-ahead log with snapshot compaction (the
-//     internal/store/wal.go pattern), so jobs survive daemon restarts —
-//     including a SIGKILL mid-transition, healed by truncating the torn
-//     tail. A job found "running" on replay was orphaned by a crash and
+//     appended to a write-ahead log with snapshot compaction
+//     (internal/wal, the log the design registry also uses), so jobs
+//     survive daemon restarts — including a SIGKILL mid-transition,
+//     healed by truncating the torn tail. A job found "running" on replay was orphaned by a crash and
 //     is demoted back to "queued".
 //   - A worker pool draining queued jobs through an executor the server
 //     supplies. Transient failures retry under capped full-jitter

@@ -201,7 +201,7 @@ func TestFamilyWALCompaction(t *testing.T) {
 			}
 			refs = append(refs, d.Ref)
 		}
-		if s.compactions.Load() == 0 {
+		if s.Counters().Compactions == 0 {
 			t.Fatal("no compaction despite 1-byte log cap")
 		}
 		if err := s.Close(); err != nil {

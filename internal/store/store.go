@@ -27,8 +27,8 @@
 // million-design corpus degrades to misses instead of eating the heap.
 // With Config.Dir set the registry survives restarts: every put appends
 // to a size-capped write-ahead log, compacted into a snapshot of the
-// resident set whenever the log outgrows Config.MaxWALBytes (see
-// wal.go for the format).
+// resident set whenever the log outgrows Config.MaxWALBytes (the log is
+// internal/wal; wal.go has the record format).
 package store
 
 import (
@@ -43,6 +43,7 @@ import (
 
 	"localwm/internal/cdfg"
 	"localwm/internal/family"
+	"localwm/internal/wal"
 	"localwm/lwmapi"
 )
 
@@ -155,13 +156,13 @@ type tenantUsage struct {
 type Store struct {
 	cfg    Config
 	shards []*shard
-	wal    *wal // nil when in-memory only
+	wal    *wal.Log // nil when in-memory only
 
 	usageMu sync.Mutex
 	usage   map[string]tenantUsage // resident footprint per tenant ("" = anonymous)
 
-	hits, misses, puts, evictions, compactions atomic.Uint64
-	entries, bytes                             atomic.Int64
+	hits, misses, puts, evictions atomic.Uint64
+	entries, bytes                atomic.Int64
 }
 
 // Open builds a Store and, when cfg.Dir is set, replays the snapshot
@@ -183,18 +184,18 @@ func Open(cfg Config) (*Store, error) {
 		s.shards[i] = &shard{byRef: make(map[string]*entry), capacity: perShard}
 	}
 	if cfg.Dir != "" {
-		w, err := openWAL(cfg.Dir, cfg.MaxWALBytes)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.replay(func(fam, tenant, canonical string) error {
-			_, _, err := s.insertCanonical(fam, tenant, canonical, false)
+		l, err := wal.Open(cfg.Dir, walFiles, cfg.MaxWALBytes, func(rec wal.Record) error {
+			fam, tenant, canonical, err := decodeDesign(rec)
+			if err != nil {
+				return err
+			}
+			_, _, err = s.insertCanonical(fam, tenant, canonical)
 			return err
-		}); err != nil {
-			w.close()
-			return nil, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
-		s.wal = w
+		s.wal = l
 	}
 	return s, nil
 }
@@ -206,7 +207,7 @@ func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.close()
+	return s.wal.Close()
 }
 
 // Canonicalize parses text and re-serializes it into the canonical form
@@ -372,26 +373,32 @@ func (s *Store) PutOwnedFamily(fam, tenant, text string, maxBytes, maxEntries in
 			}
 		}
 	}
-	d, created, err = s.insertCanonical(fam, tenant, canonical, true)
+	d, created, err = s.insertCanonical(fam, tenant, canonical)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	if created && s.wal != nil {
-		if werr := s.wal.appendPut(fam, tenant, canonical, s.snapshotTexts); werr != nil {
-			return nil, false, fmt.Errorf("store: wal append: %w", werr)
+	if !created {
+		return d, false, nil
+	}
+	// The design goes in before its append so that a compaction the
+	// append triggers snapshots it; a failed append takes it back out,
+	// so a retry logs it.
+	if s.wal != nil {
+		if err := s.wal.Append(designRecord(d), s.snapshotRecords); err != nil {
+			s.drop(d)
+			return nil, false, fmt.Errorf("store: wal append: %w", err)
 		}
-		s.compactions.Store(s.wal.compactions())
 	}
-	return d, created, nil
+	s.puts.Add(1)
+	return d, true, nil
 }
 
 // insertCanonical inserts an already-canonical text under a tenant's
 // namespace, building the shared graph outside the shard lock (parse +
 // oracle warmup is the expensive half this registry exists to amortize;
 // doing it unlocked keeps concurrent puts of different designs from
-// serializing). count toggles the puts counter — WAL replay inserts
-// without counting.
-func (s *Store) insertCanonical(fam, tenant, canonical string, count bool) (*Design, bool, error) {
+// serializing).
+func (s *Store) insertCanonical(fam, tenant, canonical string) (*Design, bool, error) {
 	fam = lwmapi.CanonicalFamily(fam)
 	ref := RefOfFamily(fam, tenant, canonical)
 	sh := s.shardFor(ref)
@@ -407,11 +414,11 @@ func (s *Store) insertCanonical(fam, tenant, canonical string, count bool) (*Des
 
 	proto, err := family.Lookup(fam)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: %v", err)
+		return nil, false, err
 	}
 	art, err := proto.ParseDesign(canonical)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: canonical text unparseable: %w", err)
+		return nil, false, fmt.Errorf("canonical text unparseable: %w", err)
 	}
 	d := &Design{Ref: ref, Tenant: tenant, Family: fam, Text: canonical, Artifact: art}
 	if g, ok := family.CDFG(art); ok {
@@ -436,19 +443,36 @@ func (s *Store) insertCanonical(fam, tenant, canonical string, count bool) (*Des
 	}
 	sh.mu.Unlock()
 
-	s.entries.Add(1)
-	s.bytes.Add(int64(len(canonical)))
-	s.addUsage(tenant, int64(len(canonical)), 1)
-	if count {
-		s.puts.Add(1)
-	}
+	s.account(d, 1)
 	if victim != nil {
-		s.entries.Add(-1)
-		s.bytes.Add(-int64(len(victim.d.Text)))
-		s.addUsage(victim.d.Tenant, -int64(len(victim.d.Text)), -1)
+		s.account(victim.d, -1)
 		s.evictions.Add(1)
 	}
 	return d, true, nil
+}
+
+// drop removes d if it is still resident, undoing its insertion.
+func (s *Store) drop(d *Design) {
+	sh := s.shardFor(d.Ref)
+	sh.mu.Lock()
+	e, ok := sh.byRef[d.Ref]
+	ok = ok && e.d == d
+	if ok {
+		sh.remove(e)
+		delete(sh.byRef, d.Ref)
+	}
+	sh.mu.Unlock()
+	if ok {
+		s.account(d, -1)
+	}
+}
+
+// account adds (sign 1) or removes (sign -1) a resident design's share
+// of the entry, byte and tenant-usage gauges.
+func (s *Store) account(d *Design, sign int64) {
+	s.entries.Add(sign)
+	s.bytes.Add(sign * int64(len(d.Text)))
+	s.addUsage(d.Tenant, sign*int64(len(d.Text)), sign)
 }
 
 // addUsage adjusts a tenant's resident footprint, dropping the map
@@ -510,33 +534,33 @@ func (s *Store) Len() int { return int(s.entries.Load()) }
 // Counters returns the store's cumulative counters and gauges.
 func (s *Store) Counters() Counters {
 	c := Counters{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Puts:        s.puts.Load(),
-		Evictions:   s.evictions.Load(),
-		Compactions: s.compactions.Load(),
-		Entries:     s.entries.Load(),
-		Bytes:       s.bytes.Load(),
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Puts:      s.puts.Load(),
+		Evictions: s.evictions.Load(),
+		Entries:   s.entries.Load(),
+		Bytes:     s.bytes.Load(),
 	}
 	if s.wal != nil {
-		c.WALBytes = s.wal.size()
+		c.WALBytes = s.wal.Size()
+		c.Compactions = s.wal.Compactions()
 	}
 	return c
 }
 
-// snapshotTexts returns every resident design with its owner,
+// snapshotRecords returns a record for every resident design,
 // oldest-first per shard, for WAL compaction: replaying them in order
 // reconstructs an equivalent resident set.
-func (s *Store) snapshotTexts() []ownedText {
-	var texts []ownedText
+func (s *Store) snapshotRecords() []wal.Record {
+	var recs []wal.Record
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for e := sh.tail; e != nil; e = e.prev {
-			texts = append(texts, ownedText{family: e.d.Family, tenant: e.d.Tenant, text: e.d.Text})
+			recs = append(recs, designRecord(e.d))
 		}
 		sh.mu.Unlock()
 	}
-	return texts
+	return recs
 }
 
 // warmOracle runs the longest-path queries detection and verification

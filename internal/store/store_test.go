@@ -405,3 +405,30 @@ func TestWALRejectsCorruptRecord(t *testing.T) {
 		t.Fatal("corrupt record body accepted")
 	}
 }
+
+// TestWALReplayHugeRecordLength: a record head claiming more bytes than
+// the log holds, up to the largest int64, is a torn tail: Open heals it
+// instead of allocating for it.
+func TestWALReplayHugeRecordLength(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	d, _, err := s.Put(chainDesign(3, "huge"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("put " + strings.Repeat("ab", 32) + " 9223372036854775807\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s2 := mustOpen(t, Config{Dir: dir})
+	if _, ok := s2.Get(d.Ref); !ok || s2.Len() != 1 {
+		t.Fatalf("replay over a huge record length: ok=%t entries=%d", ok, s2.Len())
+	}
+}

@@ -1,34 +1,23 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"localwm/internal/wal"
 	"localwm/lwmapi"
 )
 
-// Persistence layout (Config.Dir):
+// Persistence layout (Config.Dir), in internal/wal's framing:
 //
-//	wal.log   append-only put log, replayed over the snapshot on Open
-//	snapshot  full resident set at the last compaction (atomic rename)
+//	wal.log   put log, replayed over the snapshot on Open
+//	snapshot  full resident set at the last compaction
 //
-// Both files share one framed text format, binary-safe via an explicit
-// byte length:
+// Each record's body is a canonical design text; its head is one of
 //
-//	<header>\n                 "lwmstore-wal v1" / "lwmstore-snap v1"
-//	put <ref> <nbytes>\n
-//	<nbytes of canonical design text>\n
-//	putt <tenant> <ref> <nbytes>\n
-//	<nbytes of canonical design text>\n
-//	putf <family> <tenant|-> <ref> <nbytes>\n
-//	<nbytes of canonical design text>\n
-//	...
+//	put <ref>
+//	putt <tenant> <ref>
+//	putf <family> <tenant|-> <ref>
 //
 // `put` records the anonymous namespace (every pre-tenant WAL replays
 // unchanged); `putt` records a tenant-owned design whose ref is the
@@ -39,181 +28,17 @@ import (
 // tenant), whose ref is the family- and tenant-salted hash
 // (RefOfFamily), likewise verified on replay. Tenant IDs are
 // whitespace-free by construction (internal/tenant.ValidID) and family
-// names are bare lowercase words, so the space-delimited header stays
-// unambiguous.
-//
-// A put whose appended bytes push wal.log past Config.MaxWALBytes
-// triggers compaction: the resident set is written to snapshot.tmp,
-// renamed over snapshot, and wal.log truncated back to its header — so
-// the log's size is bounded by MaxWALBytes plus one design. Replay
-// tolerates a torn trailing record (the crash-mid-append case) by
-// truncating the log back to the last whole record; a corrupt record
-// body (ref/hash mismatch) is an error, not a skip. Appends are not
-// fsynced: the daemon survives its own death (the page cache persists
-// process exit), not a power cut mid-write.
-
-const (
-	walHeader  = "lwmstore-wal v1"
-	snapHeader = "lwmstore-snap v1"
-)
-
-// wal owns the two persistence files. All methods are safe for
-// concurrent use; appends serialize on mu.
-type wal struct {
-	mu       sync.Mutex
-	dir      string
-	maxBytes int64
-	f        *os.File
-	n        atomic.Int64 // current wal.log size
-	compacts atomic.Uint64
-	closed   bool
-}
-
-func (w *wal) walPath() string  { return filepath.Join(w.dir, "wal.log") }
-func (w *wal) snapPath() string { return filepath.Join(w.dir, "snapshot") }
-
-// openWAL prepares dir and opens the log for appending, creating it
-// (with its header) when absent. Replay happens separately so the
-// caller controls where the records land.
-func openWAL(dir string, maxBytes int64) (*wal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	w := &wal{dir: dir, maxBytes: maxBytes}
-	f, err := os.OpenFile(w.walPath(), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	w.f = f
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if st.Size() == 0 {
-		if _, err := f.WriteString(walHeader + "\n"); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: writing wal header: %w", err)
-		}
-	}
-	st, _ = f.Stat()
-	w.n.Store(st.Size())
-	return w, nil
-}
-
-// ownedText is one persisted design with its owning family and tenant
-// ("" = scheduling family / anonymous tenant).
-type ownedText struct {
-	family, tenant, text string
-}
-
-// replay feeds every persisted design — snapshot first, then the log —
-// to apply, in write order. A torn trailing log record is discarded by
-// truncating the log back to the last whole record.
-func (w *wal) replay(apply func(fam, tenant, canonical string) error) error {
-	if err := replayFile(w.snapPath(), snapHeader, false, apply); err != nil {
-		return err
-	}
-	good, err := replayLog(w.f, apply)
-	if err != nil {
-		return err
-	}
-	if good < w.n.Load() {
-		if err := w.f.Truncate(good); err != nil {
-			return fmt.Errorf("store: truncating torn wal tail: %w", err)
-		}
-		w.n.Store(good)
-	}
-	// Leave the append cursor at the (possibly truncated) end.
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// replayFile replays a whole framed file (the snapshot). A missing file
-// is fine; a torn or corrupt record is an error unless tolerateTorn.
-func replayFile(path, header string, tolerateTorn bool, apply func(fam, tenant, canonical string) error) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if err := expectHeader(br, path, header); err != nil {
-		return err
-	}
-	for {
-		fam, tenant, _, text, err := readRecord(br, path)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if tolerateTorn && isTorn(err) {
-				return nil
-			}
-			return err
-		}
-		if err := apply(fam, tenant, text); err != nil {
-			return err
-		}
-	}
-}
-
-// replayLog replays the open wal.log from the start and returns the
-// byte offset just past the last whole, valid record.
-func replayLog(f *os.File, apply func(fam, tenant, canonical string) error) (good int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	if err := expectHeader(br, f.Name(), walHeader); err != nil {
-		return 0, err
-	}
-	good = cr.n - int64(br.Buffered())
-	for {
-		fam, tenant, _, text, rerr := readRecord(br, f.Name())
-		if rerr == io.EOF {
-			return good, nil
-		}
-		if rerr != nil {
-			if isTorn(rerr) {
-				return good, nil // crash mid-append: drop the tail
-			}
-			return 0, rerr
-		}
-		if err := apply(fam, tenant, text); err != nil {
-			return 0, err
-		}
-		good = cr.n - int64(br.Buffered())
-	}
-}
-
-// tornError marks an incomplete trailing record.
-type tornError struct{ msg string }
-
-func (e *tornError) Error() string { return e.msg }
-func isTorn(err error) bool        { _, ok := err.(*tornError); return ok }
-
-// expectHeader consumes and checks a file's header line.
-func expectHeader(br *bufio.Reader, path, want string) error {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return &tornError{fmt.Sprintf("store: %s: missing header", path)}
-	}
-	if strings.TrimSuffix(line, "\n") != want {
-		return fmt.Errorf("store: %s: bad header %q (want %q)", path, strings.TrimSpace(line), want)
-	}
-	return nil
+// names are bare lowercase words, so splitting the head on single
+// spaces is unambiguous. A put whose append takes wal.log past
+// Config.MaxWALBytes compacts the resident set into the snapshot.
+var walFiles = wal.Files{
+	Log: "wal.log", LogHeader: "lwmstore-wal v1",
+	Snap: "snapshot", SnapHeader: "lwmstore-snap v1",
 }
 
 // validTenantToken loosely mirrors internal/tenant.ValidID without
 // importing it (the store stays control-plane-agnostic): 1..64 chars of
-// [a-z0-9_-], which guarantees the space-delimited header parse was
+// [a-z0-9_-], which guarantees the space-delimited head parse was
 // unambiguous.
 func validTenantToken(t string) bool {
 	if len(t) == 0 || len(t) > 64 {
@@ -230,7 +55,7 @@ func validTenantToken(t string) bool {
 
 // validFamilyToken loosely validates a `putf` family name without
 // consulting the registry (unknown families fail later, at parse):
-// 1..32 chars of [a-z0-9], which guarantees the space-delimited header
+// 1..32 chars of [a-z0-9], which guarantees the space-delimited head
 // parse was unambiguous. "-" is not a family.
 func validFamilyToken(f string) bool {
 	if len(f) == 0 || len(f) > 32 {
@@ -245,168 +70,51 @@ func validFamilyToken(f string) bool {
 	return true
 }
 
-// readRecord reads one framed record (`put`, `putt`, or `putf`) and
-// verifies its content hash under the record's namespace. io.EOF means
-// a clean end; *tornError an incomplete trailer. fam is "" for the
-// legacy scheduling-family record forms.
-func readRecord(br *bufio.Reader, path string) (fam, tenant, ref, text string, err error) {
-	line, err := br.ReadString('\n')
-	if err == io.EOF && line == "" {
-		return "", "", "", "", io.EOF
-	}
-	if err != nil {
-		return "", "", "", "", &tornError{fmt.Sprintf("store: %s: torn record header", path)}
-	}
-	var nbytes int
+// designRecord frames a resident design under its family and owner's
+// namespace. Scheduling-family designs keep the pre-family `put`/`putt`
+// heads so existing logs and snapshots stay byte-compatible.
+func designRecord(d *Design) wal.Record {
+	var head string
 	switch {
-	case strings.HasPrefix(line, "putf "):
-		if _, err := fmt.Sscanf(line, "putf %s %s %s %d\n", &fam, &tenant, &ref, &nbytes); err != nil ||
-			!validFamilyToken(fam) || (tenant != "-" && !validTenantToken(tenant)) ||
-			!ValidRef(ref) || nbytes < 0 {
-			return "", "", "", "", fmt.Errorf("store: %s: malformed record header %q", path, strings.TrimSpace(line))
+	case d.Family != lwmapi.FamilySched:
+		tenant := d.Tenant
+		if tenant == "" {
+			tenant = "-"
 		}
+		head = "putf " + d.Family + " " + tenant + " " + d.Ref
+	case d.Tenant == "":
+		head = "put " + d.Ref
+	default:
+		head = "putt " + d.Tenant + " " + d.Ref
+	}
+	return wal.Record{Head: head, Body: d.Text}
+}
+
+// decodeDesign parses a record's head and verifies its content hash
+// under the record's namespace. fam is "" for the scheduling-family
+// heads.
+func decodeDesign(rec wal.Record) (fam, tenant, text string, err error) {
+	f := strings.Split(rec.Head, " ")
+	var ref string
+	ok := false
+	switch {
+	case len(f) == 2 && f[0] == "put":
+		ref, ok = f[1], true
+	case len(f) == 3 && f[0] == "putt":
+		tenant, ref = f[1], f[2]
+		ok = validTenantToken(tenant)
+	case len(f) == 4 && f[0] == "putf":
+		fam, tenant, ref = f[1], f[2], f[3]
+		ok = validFamilyToken(fam) && (tenant == "-" || validTenantToken(tenant))
 		if tenant == "-" {
 			tenant = ""
 		}
-	case strings.HasPrefix(line, "putt "):
-		if _, err := fmt.Sscanf(line, "putt %s %s %d\n", &tenant, &ref, &nbytes); err != nil ||
-			!validTenantToken(tenant) || !ValidRef(ref) || nbytes < 0 {
-			return "", "", "", "", fmt.Errorf("store: %s: malformed record header %q", path, strings.TrimSpace(line))
-		}
-	default:
-		if _, err := fmt.Sscanf(line, "put %s %d\n", &ref, &nbytes); err != nil || !ValidRef(ref) || nbytes < 0 {
-			return "", "", "", "", fmt.Errorf("store: %s: malformed record header %q", path, strings.TrimSpace(line))
-		}
 	}
-	buf := make([]byte, nbytes+1) // body + trailing newline
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", "", "", "", &tornError{fmt.Sprintf("store: %s: torn record body", path)}
+	if !ok || !ValidRef(ref) {
+		return "", "", "", fmt.Errorf("malformed record header %q", rec.Head)
 	}
-	if buf[nbytes] != '\n' {
-		return "", "", "", "", fmt.Errorf("store: %s: record for %s missing trailer", path, ref)
+	if RefOfFamily(fam, tenant, rec.Body) != ref {
+		return "", "", "", fmt.Errorf("record %s fails content hash", ref)
 	}
-	text = string(buf[:nbytes])
-	if RefOfFamily(fam, tenant, text) != ref {
-		return "", "", "", "", fmt.Errorf("store: %s: record %s fails content hash", path, ref)
-	}
-	return fam, tenant, ref, text, nil
-}
-
-// writeRecord frames one design onto w under its family and owner's
-// namespace. Scheduling-family designs keep the pre-family `put`/`putt`
-// record forms so existing WALs and snapshots stay byte-compatible.
-func writeRecord(w io.Writer, fam, tenant, canonical string) error {
-	var err error
-	switch {
-	case fam != "" && fam != lwmapi.FamilySched:
-		walTenant := tenant
-		if walTenant == "" {
-			walTenant = "-"
-		}
-		_, err = fmt.Fprintf(w, "putf %s %s %s %d\n", fam, walTenant, RefOfFamily(fam, tenant, canonical), len(canonical))
-	case tenant == "":
-		_, err = fmt.Fprintf(w, "put %s %d\n", RefOf(canonical), len(canonical))
-	default:
-		_, err = fmt.Fprintf(w, "putt %s %s %d\n", tenant, RefOfOwned(tenant, canonical), len(canonical))
-	}
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, canonical+"\n"); err != nil {
-		return err
-	}
-	return nil
-}
-
-// appendPut logs one new design. When the log outgrows maxBytes it is
-// compacted: resident() supplies the survivor texts for the snapshot
-// and the log restarts empty.
-func (w *wal) appendPut(fam, tenant, canonical string, resident func() []ownedText) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: wal closed")
-	}
-	var buf strings.Builder
-	if err := writeRecord(&buf, fam, tenant, canonical); err != nil {
-		return err
-	}
-	if _, err := w.f.WriteString(buf.String()); err != nil {
-		return err
-	}
-	w.n.Add(int64(buf.Len()))
-	if w.n.Load() > w.maxBytes {
-		return w.compactLocked(resident())
-	}
-	return nil
-}
-
-// compactLocked snapshots texts and truncates the log. Caller holds mu.
-func (w *wal) compactLocked(texts []ownedText) error {
-	tmp := w.snapPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if _, err := bw.WriteString(snapHeader + "\n"); err == nil {
-		for _, t := range texts {
-			if err = writeRecord(bw, t.family, t.tenant, t.text); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, w.snapPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	if err := w.f.Truncate(int64(len(walHeader) + 1)); err != nil {
-		return fmt.Errorf("store: truncating wal: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.n.Store(int64(len(walHeader) + 1))
-	w.compacts.Add(1)
-	return nil
-}
-
-func (w *wal) size() int64         { return w.n.Load() }
-func (w *wal) compactions() uint64 { return w.compacts.Load() }
-
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	return w.f.Close()
-}
-
-// countingReader counts bytes handed to the bufio layer, letting replay
-// compute the offset of the last whole record (reader position minus
-// what bufio still buffers).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return fam, tenant, rec.Body, nil
 }
