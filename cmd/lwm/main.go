@@ -92,8 +92,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "synth":
 		err = cmdSynth(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "design":
 		err = cmdDesign(os.Args[2:])
 	case "families":
@@ -117,7 +115,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lwm {gen|info|embed|schedule|detect|verify|synth|bench|design|families|job|robust|trace|prof|dot} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: lwm {gen|info|embed|schedule|detect|verify|synth|design|families|job|robust|trace|prof|dot} [flags]")
 }
 
 // traceCtx builds the context for a marking command. With -trace off it
