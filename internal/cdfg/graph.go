@@ -107,6 +107,11 @@ type Graph struct {
 	// oracle it is not part of Clone, and AddNode drops it.
 	names atomic.Pointer[map[string]NodeID]
 
+	// memo is the lazily created per-structure slot; see StructMemo.
+	// Unlike the oracle it is shared by Clone, and every structural
+	// mutation drops it.
+	memo atomic.Pointer[any]
+
 	// pathObserver, when set, is called after every longest-path
 	// (re)computation the oracle performs on a cache miss; see
 	// OnPathRecompute. Not copied by Clone.
@@ -147,7 +152,7 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // AddNode appends a node with the given name and operation and returns its
 // ID. Names should be unique; Validate enforces this.
 func (g *Graph) AddNode(name string, op Op) NodeID {
-	g.structGen++
+	g.structChanged()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Op: op})
 	g.dataIn = append(g.dataIn, nil)
@@ -174,8 +179,38 @@ func (g *Graph) Node(id NodeID) Node {
 // when wiring it into a host system); callers are responsible for
 // re-validating arity afterwards.
 func (g *Graph) SetOp(v NodeID, op Op) {
-	g.structGen++
+	g.structChanged()
 	g.nodes[v].Op = op
+}
+
+// structChanged records a change to the graph's structure (its nodes,
+// their operations, or its data and control edges): it advances
+// structGen and drops the per-structure memo.
+func (g *Graph) structChanged() {
+	g.structGen++
+	g.memo.Store(nil)
+}
+
+// StructMemo returns the value in g's per-structure memo slot, storing
+// mk() there first if the slot is empty. The slot belongs to the graph's
+// structure — its nodes, their operations, and its data and control
+// edges — and to nothing else: Clone shares it with the clone, every
+// structural mutation (AddNode, SetOp, a data or control AddEdge)
+// empties it, and temporal edges, including ClearTemporalEdges, leave it
+// alone. A package that keeps results there must derive them from the
+// structure only; cdfg never looks inside. Like Oracle, StructMemo is
+// safe for concurrent use by readers of an unchanging graph, and
+// concurrent first callers all get the value one of them stored.
+func (g *Graph) StructMemo(mk func() any) any {
+	for {
+		if p := g.memo.Load(); p != nil {
+			return *p
+		}
+		v := mk()
+		if g.memo.CompareAndSwap(nil, &v) {
+			return v
+		}
+	}
 }
 
 // NodeByName returns the node with the given name (the first one, should
@@ -246,7 +281,7 @@ func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind) error {
 	}
 	switch kind {
 	case DataEdge:
-		g.structGen++
+		g.structChanged()
 		g.dataIn[to] = append(g.dataIn[to], from)
 		g.dataOut[from] = append(g.dataOut[from], to)
 		g.link(from, to)
@@ -254,7 +289,7 @@ func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind) error {
 		if contains(g.ctrlIn[to], from) {
 			return fmt.Errorf("cdfg: duplicate control edge %s->%s", g.nodes[from].Name, g.nodes[to].Name)
 		}
-		g.structGen++
+		g.structChanged()
 		g.ctrlIn[to] = append(g.ctrlIn[to], from)
 		g.ctrlOut[from] = append(g.ctrlOut[from], to)
 		g.link(from, to)
@@ -357,7 +392,9 @@ func (g *Graph) SuccsAll(dst []NodeID, v NodeID) []NodeID {
 
 // Clone returns a deep copy of the graph. The clone carries the source's
 // generation counters but starts with a cold PathOracle of its own, so
-// cached analyses never leak across graph identities.
+// cached analyses never leak across graph identities. It shares the
+// source's per-structure memo (StructMemo) until either graph's
+// structure changes.
 func (g *Graph) Clone() *Graph {
 	c := New(len(g.nodes))
 	c.nodes = append(c.nodes[:0], g.nodes...)
@@ -372,6 +409,7 @@ func (g *Graph) Clone() *Graph {
 	c.temporal = append([]Edge(nil), g.temporal...)
 	c.structGen = g.structGen
 	c.tempGen = g.tempGen
+	c.memo.Store(g.memo.Load())
 	return c
 }
 

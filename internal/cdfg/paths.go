@@ -301,18 +301,41 @@ func (g *Graph) LaxitiesW(weight WeightFunc) ([]int, error) {
 // cone has been processed. A data cycle inside the cone is an error;
 // acyclicity of the rest of the graph is Validate's job.
 func (g *Graph) Levels(root NodeID) ([]int, error) {
+	var sc LevelScratch
+	return g.LevelsInto(&sc, root)
+}
+
+// LevelScratch holds the buffers of LevelsInto between calls. Outside
+// the cone of its last call, level is -1 and pending 0 throughout, so a
+// call resets only that cone instead of clearing n entries. The zero
+// value is ready for use; one LevelScratch may serve graphs of any size,
+// one call at a time.
+type LevelScratch struct {
+	level   []int
+	pending []int32
+	cone    []NodeID
+}
+
+// LevelsInto is Levels computed in sc's buffers: it allocates nothing
+// once sc has grown to the graph's size and the cone's. The result
+// aliases sc and is valid until sc's next use.
+func (g *Graph) LevelsInto(sc *LevelScratch, root NodeID) ([]int, error) {
 	if err := g.checkID(root); err != nil {
 		return nil, err
 	}
-	level := make([]int, len(g.nodes))
-	for i := range level {
-		level[i] = -1
+	for _, v := range sc.cone {
+		sc.level[v] = -1
+		sc.pending[v] = 0
 	}
+	for len(sc.level) < len(g.nodes) {
+		sc.level = append(sc.level, -1)
+		sc.pending = append(sc.pending, 0)
+	}
+	level, pending := sc.level[:len(g.nodes)], sc.pending[:len(g.nodes)]
 	// Collect the cone breadth-first, counting for every cone node its
 	// data consumers inside the cone (one per edge, as a node may feed
 	// two input slots of the same consumer).
-	pending := make([]int32, len(g.nodes))
-	cone := []NodeID{root}
+	cone := append(sc.cone[:0], root)
 	level[root] = 0
 	for i := 0; i < len(cone); i++ {
 		for _, u := range g.dataIn[cone[i]] {
@@ -343,6 +366,7 @@ func (g *Graph) Levels(root NodeID) ([]int, error) {
 			}
 		}
 	}
+	sc.cone = ready[:n]
 	if len(ready)-n != n {
 		return nil, fmt.Errorf("cdfg: data cycle in the fan-in cone of %s (%d of %d nodes leveled)",
 			g.nodes[root].Name, len(ready)-n, n)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"localwm/internal/cdfg"
@@ -80,12 +81,16 @@ func (c Config) withDefaults() (Config, error) {
 // Domain is a selected watermark locality.
 type Domain struct {
 	Root cdfg.NodeID
-	// To is the candidate fan-in tree T_o in canonical (rank) order.
+	// To is the candidate fan-in tree T_o in canonical (rank) order. It is
+	// Order.Ordered, shared with every other Select of the same root and
+	// tree bounds on the graph's structure, across calls and goroutines:
+	// read it, never write it.
 	To []cdfg.NodeID
 	// T is the selected subtree, in breadth-first selection order starting
-	// with the root. T ⊆ To.
+	// with the root. T ⊆ To. T belongs to the caller.
 	T []cdfg.NodeID
 	// Order is the canonical ordering of To; Order.Rank names each node.
+	// Shared like To, and read-only like it.
 	Order *order.Result
 }
 
@@ -146,18 +151,23 @@ func PickFrom(eligible []cdfg.NodeID, bs *prng.Bitstream) (cdfg.NodeID, error) {
 // Select performs domain selection and identification at the given root.
 // The returned Domain's T is a deterministic function of (g, root, the
 // bitstream state); Select consumes bitstream bits.
+//
+// The ordered candidate tree depends on the graph's structure, the root,
+// MaxDist and MaxTreeSize only, so Select keeps it in the graph's
+// per-structure memo (see memo) and a later Select at the same root and
+// bounds — on g or on a clone of it — only replays the bitstream walk.
+// Select is safe for concurrent use by readers of an unchanging graph.
 func Select(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) (*Domain, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	if root < 0 || int(root) >= g.Len() {
+		return nil, fmt.Errorf("domain: root %d out of range [0,%d)", root, g.Len())
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	to, err := sc.cappedFaninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize)
-	if err != nil {
-		return nil, err
-	}
-	ord, err := order.Order(g, root, to, 0)
+	ord, err := sc.orderedTree(g, root, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +265,71 @@ func AppendRootFingerprint(dst []byte, g *cdfg.Graph, v cdfg.NodeID) []byte {
 		dst = strconv.AppendInt(dst, int64(op), 10)
 	}
 	return append(dst, ']')
+}
+
+// orderedTree returns the canonical ordering of root's capped fan-in tree
+// T_o under cfg's bounds: from g's memo when it holds it, else computed
+// and offered to the memo. Errors are not memoized.
+func (sc *scratch) orderedTree(g *cdfg.Graph, root cdfg.NodeID, cfg Config) (*order.Result, error) {
+	m := memoOf(g)
+	slot := m.slot(root, cfg.MaxDist, cfg.MaxTreeSize)
+	if slot != nil {
+		if ord := slot.Load(); ord != nil {
+			return ord, nil
+		}
+	}
+	to, err := sc.cappedFaninTree(g, root, cfg.MaxDist, cfg.MaxTreeSize)
+	if err != nil {
+		return nil, err
+	}
+	ord, err := order.Order(g, root, to, 0)
+	if err != nil {
+		return nil, err
+	}
+	if slot != nil {
+		ord = m.store(slot, ord)
+	}
+	return ord, nil
+}
+
+// FingerprintMatcher tests candidate roots against one record's root
+// fingerprint, as a detector scanning every root does. It parses the
+// fingerprint's "op/arity/" head once and rejects a root whose operation
+// or data arity differs without formatting anything; the text comparison
+// with RootFingerprint stays the deciding test. A fingerprint whose head
+// is not two canonical integers (a malformed record) is compared as text
+// at every root. A matcher reuses one buffer: use it from one goroutine.
+type FingerprintMatcher struct {
+	fp        string
+	op, arity int
+	head      bool // op and arity parsed from fp; every match has them
+	buf       []byte
+}
+
+// NewFingerprintMatcher returns a matcher for the fingerprint fp.
+func NewFingerprintMatcher(fp string) *FingerprintMatcher {
+	m := &FingerprintMatcher{fp: fp}
+	opText, rest, ok1 := strings.Cut(fp, "/")
+	arityText, _, ok2 := strings.Cut(rest, "/")
+	if ok1 && ok2 {
+		op, err1 := strconv.Atoi(opText)
+		arity, err2 := strconv.Atoi(arityText)
+		// Only the canonical text of an integer can equal the formatted
+		// fingerprint's head: "03" or "+3" is compared as text.
+		m.head = err1 == nil && err2 == nil &&
+			strconv.Itoa(op) == opText && strconv.Itoa(arity) == arityText
+		m.op, m.arity = op, arity
+	}
+	return m
+}
+
+// Match reports whether RootFingerprint(g, v) equals the fingerprint.
+func (m *FingerprintMatcher) Match(g *cdfg.Graph, v cdfg.NodeID) bool {
+	if m.head && (int(g.Node(v).Op) != m.op || len(g.DataIn(v)) != m.arity) {
+		return false
+	}
+	m.buf = AppendRootFingerprint(m.buf[:0], g, v)
+	return string(m.buf) == m.fp
 }
 
 // scratch is the reusable state of one Select call. marks holds the

@@ -33,6 +33,10 @@ func refSelect(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) 
 	}
 
 	d := &Domain{Root: root, To: ord.Ordered, Order: ord}
+	rank := make(map[cdfg.NodeID]int, len(ord.Ordered))
+	for i, v := range ord.Ordered {
+		rank[v] = i
+	}
 	inT := map[cdfg.NodeID]bool{root: true}
 	d.T = append(d.T, root)
 	queue := []cdfg.NodeID{root}
@@ -49,7 +53,7 @@ func refSelect(g *cdfg.Graph, bs *prng.Bitstream, root cdfg.NodeID, cfg Config) 
 		if len(cands) == 0 {
 			continue
 		}
-		cands = refSortByRank(cands, ord.Rank)
+		cands = refSortByRank(cands, rank)
 
 		mandatory := bs.Intn(len(cands))
 		for i, u := range cands {

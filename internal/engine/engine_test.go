@@ -317,3 +317,77 @@ func settle(t *testing.T, base int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestDetectBatchSharedMemo fans out records whose fingerprints share
+// roots over one freshly parsed suspect graph, listed as two suspects,
+// so workers race to create the same memo tables and fill the same
+// slots. Every cell must equal a sequential scan of another fresh parse,
+// at four workers under one and two scheduling CPUs.
+func TestDetectBatchSharedMemo(t *testing.T) {
+	g := designs.Layered(designs.MediaBench()[0].Cfg) // D/A Cnv., 528 ops
+	cp, err := g.CriticalPath()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := schedwm.Config{Tau: 14, K: 3, Epsilon: 0.2, Budget: cp + cp/2 + 2}
+	wms, err := schedwm.EmbedMany(g, prng.Signature("alice"), cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ListSchedule(g, sched.ListOpts{UseTemporal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []schedwm.Record
+	for _, wm := range wms {
+		rec := wm.Record()
+		recs = append(recs, rec)
+		// The same roots and tree bounds under other walks read the same
+		// slots; another tree bound on the same roots adds a table.
+		for try := 1; try <= 3; try++ {
+			r := rec
+			r.Try += try
+			recs = append(recs, r)
+		}
+		r := rec
+		r.DomainCfg.MaxDist, r.DomainCfg.MaxTreeSize = 4, 2*rec.DomainCfg.Tau
+		recs = append(recs, r)
+	}
+	var text bytes.Buffer
+	if err := cdfg.Write(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *cdfg.Graph {
+		f, err := cdfg.Parse(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	seq := fresh()
+	want := make([]*schedwm.Detection, len(recs))
+	for j, rec := range recs {
+		if want[j], err = schedwm.Detect(seq, s, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !want[0].Found || !want[5].Found || want[1].RootsTried < 2 {
+		t.Fatalf("own watermarks found %t/%t, retry record tried %d roots; want found, found, several", want[0].Found, want[5].Found, want[1].RootsTried)
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			sus := engine.Suspect{Graph: fresh(), Schedule: s}
+			got := engine.DetectBatch([]engine.Suspect{sus, sus}, recs, 4)
+			for i := range got {
+				for j := range recs {
+					if got[i][j].Err != nil || !reflect.DeepEqual(got[i][j].Det, want[j]) {
+						t.Errorf("GOMAXPROCS=%d cell %d,%d: err %v, detection differs from sequential",
+							procs, i, j, got[i][j].Err)
+					}
+				}
+			}
+		}()
+	}
+}

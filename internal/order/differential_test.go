@@ -74,7 +74,7 @@ func cappedSubtree(t testing.TB, g *cdfg.Graph, root cdfg.NodeID, maxDist, maxNo
 // sameResult fails t unless got and want agree on every Result field.
 func sameResult(t testing.TB, what string, got, want *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Ordered, want.Ordered) || !reflect.DeepEqual(got.Rank, want.Rank) ||
+	if !reflect.DeepEqual(got.Ordered, want.Ordered) ||
 		got.Canonical != want.Canonical || got.MaxDepth != want.MaxDepth {
 		t.Fatalf("%s: got Ordered=%v Canonical=%v MaxDepth=%d, reference Ordered=%v Canonical=%v MaxDepth=%d",
 			what, got.Ordered, got.Canonical, got.MaxDepth, want.Ordered, want.Canonical, want.MaxDepth)

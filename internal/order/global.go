@@ -32,5 +32,7 @@ func Global(g *cdfg.Graph, maxDepth int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rank(g, nodes, from, maxDepth)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.rank(g, nodes, from, maxDepth)
 }

@@ -25,19 +25,31 @@ import (
 	"localwm/internal/cdfg"
 )
 
-// Result is the outcome of ordering a node set.
+// Result is the outcome of ordering a node set. A Result domain
+// selection returns may be shared across calls and goroutines (see
+// domain.Domain.Order): treat it as read-only.
 type Result struct {
 	// Ordered lists the nodes from greatest to least under the paper's ">"
 	// relation. Identifier i names Ordered[i].
 	Ordered []cdfg.NodeID
-	// Rank maps each node to its identifier (index in Ordered).
-	Rank map[cdfg.NodeID]int
 	// Canonical reports whether C1–C3 alone separated every pair. When
 	// false, at least one tie was broken non-structurally, and a detector
 	// on a renumbered copy of the design may disagree on those positions.
 	Canonical bool
 	// MaxDepth is the largest D_x that was consulted.
 	MaxDepth int
+}
+
+// Rank returns v's identifier, its index in Ordered, and whether v is
+// ordered at all. It scans Ordered, which suits the handful of lookups an
+// embedder makes per ordering and keeps a Result free of any index.
+func (r *Result) Rank(v cdfg.NodeID) (int, bool) {
+	for i, u := range r.Ordered {
+		if u == v {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // Order ranks the given subtree nodes of g with respect to root. The
@@ -69,7 +81,9 @@ func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int)
 		}
 	}
 
-	levels, err := g.Levels(root)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	levels, err := g.LevelsInto(&sc.cone, root)
 	if err != nil {
 		return nil, err
 	}
@@ -80,5 +94,5 @@ func Order(g *cdfg.Graph, root cdfg.NodeID, subtree []cdfg.NodeID, maxDepth int)
 		}
 	}
 
-	return rank(g, subtree, levels, maxDepth)
+	return sc.rank(g, subtree, levels, maxDepth)
 }

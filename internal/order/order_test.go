@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"testing"
 
 	"localwm/internal/cdfg"
@@ -52,7 +53,7 @@ func TestOrderLevelsDominate(t *testing.T) {
 	}
 	// C1: deeper level sorts first. Levels w.r.t. root: in=4 (longest
 	// path via m1), m1=3, m2=2, a1=1, s1=1, root=0.
-	rank := func(name string) int { return res.Rank[g.MustNode(name)] }
+	rank := func(name string) int { r, _ := res.Rank(g.MustNode(name)); return r }
 	if rank("in") != 0 || rank("m1") != 1 || rank("m2") != 2 {
 		t.Fatalf("level ordering broken: in=%d m1=%d m2=%d", rank("in"), rank("m1"), rank("m2"))
 	}
@@ -71,7 +72,9 @@ func TestOrderTieBrokenByFanin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a1 and s1 are both level 1; a1 has the larger fan-in tree (C2).
-	if res.Rank[g.MustNode("a1")] > res.Rank[g.MustNode("s1")] {
+	a1, _ := res.Rank(g.MustNode("a1"))
+	s1, _ := res.Rank(g.MustNode("s1"))
+	if a1 > s1 {
 		t.Fatal("C2 should rank a1 before s1")
 	}
 }
@@ -88,12 +91,23 @@ func TestOrderRanksAreAPermutation(t *testing.T) {
 		t.Fatalf("ordered %d of %d nodes", len(res.Ordered), len(sub))
 	}
 	seen := map[int]bool{}
-	for _, v := range res.Ordered {
-		r := res.Rank[v]
+	for i, v := range res.Ordered {
+		r, ok := res.Rank(v)
+		if !ok || r != i {
+			t.Fatalf("Rank(%s) = %d, %t; want %d, true", g.Node(v).Name, r, ok, i)
+		}
 		if seen[r] {
 			t.Fatalf("duplicate rank %d", r)
 		}
 		seen[r] = true
+	}
+	for v := cdfg.NodeID(0); int(v) < g.Len(); v++ {
+		if slices.Contains(res.Ordered, v) {
+			continue
+		}
+		if r, ok := res.Rank(v); ok || r != -1 {
+			t.Fatalf("Rank of unordered node %s = %d, %t; want -1, false", g.Node(v).Name, r, ok)
+		}
 	}
 }
 

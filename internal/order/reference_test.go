@@ -206,16 +206,7 @@ func (r *reference) refine(nodes []cdfg.NodeID, keys map[cdfg.NodeID][]int, maxD
 		}
 		return a < b
 	})
-	res := &Result{
-		Ordered:   ordered,
-		Rank:      make(map[cdfg.NodeID]int, len(ordered)),
-		Canonical: canonical,
-		MaxDepth:  depthUsed,
-	}
-	for i, v := range ordered {
-		res.Rank[v] = i
-	}
-	return res, nil
+	return &Result{Ordered: ordered, Canonical: canonical, MaxDepth: depthUsed}, nil
 }
 
 func refCompareKeys(a, b []int) int {

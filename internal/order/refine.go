@@ -24,9 +24,7 @@ import (
 // more members, exactly as a refinement that appends (K, φ) to every
 // node's key until all keys are distinct would; MaxDepth reports the
 // number of rounds run. A node listed twice is an error.
-func rank(g *cdfg.Graph, nodes []cdfg.NodeID, level []int, maxDepth int) (*Result, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+func (sc *scratch) rank(g *cdfg.Graph, nodes []cdfg.NodeID, level []int, maxDepth int) (*Result, error) {
 	sc.reset(g.Len(), len(nodes))
 	for _, v := range nodes {
 		if !sc.seen.Add(v) {
@@ -90,13 +88,11 @@ func rank(g *cdfg.Graph, nodes []cdfg.NodeID, level []int, maxDepth int) (*Resul
 
 	res := &Result{
 		Ordered:   make([]cdfg.NodeID, len(perm)),
-		Rank:      make(map[cdfg.NodeID]int, len(perm)),
 		Canonical: canonical,
 		MaxDepth:  depthUsed,
 	}
 	for i, p := range perm {
 		res.Ordered[i] = nodes[p]
-		res.Rank[nodes[p]] = i
 	}
 	return res, nil
 }
@@ -134,11 +130,13 @@ type walk struct {
 // of the walk's previous level in scratch.levels (-1 for the first).
 type walkLevel struct{ lo, hi, prev int32 }
 
-// scratch is the reusable state of one rank call. Walks are advanced one
-// at a time, so they share one visited set, seen: before a walk takes its
-// next level, seen is reset and refilled from the walk's stored levels.
-// Memory stays proportional to the nodes the walks have actually reached.
+// scratch is the reusable state of one Order or Global call: the level
+// buffers of Order, then the rank refinement. Walks are advanced one at a
+// time, so they share one visited set, seen: before a walk takes its next
+// level, seen is reset and refilled from the walk's stored levels. Memory
+// stays proportional to the nodes the walks have actually reached.
 type scratch struct {
+	cone   cdfg.LevelScratch
 	seen   cdfg.NodeMarks
 	arena  []cdfg.NodeID
 	levels []walkLevel

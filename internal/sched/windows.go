@@ -68,15 +68,15 @@ func ComputeWindows(g *cdfg.Graph, budget int, useTemporal bool) (*Windows, erro
 		ALAP:   make([]int, g.Len()),
 		Budget: budget,
 	}
-	for _, n := range g.Nodes() {
-		if !n.Op.IsComputational() {
+	for v := range w.ASAP {
+		if !g.Node(cdfg.NodeID(v)).Op.IsComputational() {
 			continue
 		}
-		w.ASAP[n.ID] = to[n.ID]                // chain length ending here == earliest step
-		w.ALAP[n.ID] = budget - from[n.ID] + 1 // leave room for the chain after
-		if w.ASAP[n.ID] > w.ALAP[n.ID] {
+		w.ASAP[v] = to[v]                // chain length ending here == earliest step
+		w.ALAP[v] = budget - from[v] + 1 // leave room for the chain after
+		if w.ASAP[v] > w.ALAP[v] {
 			return nil, fmt.Errorf("sched: budget %d infeasible: node %s needs window [%d,%d]",
-				budget, n.Name, w.ASAP[n.ID], w.ALAP[n.ID])
+				budget, g.Node(cdfg.NodeID(v)).Name, w.ASAP[v], w.ALAP[v])
 		}
 	}
 	return w, nil

@@ -100,24 +100,29 @@ func Detect(g *cdfg.Graph, s *sched.Schedule, rec Record) (*Detection, error) {
 
 	det := &Detection{}
 	haveBest := false
-	var fp []byte // reused: the fingerprint test allocates nothing per root
-	for _, root := range g.Computational() {
+	var fpm *domain.FingerprintMatcher
+	if rec.RootFP != "" {
+		fpm = domain.NewFingerprintMatcher(rec.RootFP)
+	}
+	// The walk sub-stream is the same at every root: key it once, at the
+	// first root that needs it, and replay a clone per root.
+	var stream *prng.Bitstream
+	for root := cdfg.NodeID(0); int(root) < g.Len(); root++ {
 		// Roots without computational fan-in cannot host a domain.
 		if !domain.Eligible(g, root) {
 			continue
 		}
-		if rec.RootFP != "" {
-			if fp = domain.AppendRootFingerprint(fp[:0], g, root); string(fp) != rec.RootFP {
-				continue // cheap structural rejection
-			}
+		if fpm != nil && !fpm.Match(g, root) {
+			continue // cheap structural rejection
 		}
 		det.RootsTried++
 
-		ds, err := domainStream(rec.Signature, rec.Index, rec.Try)
-		if err != nil {
-			return nil, err
+		if stream == nil {
+			if stream, err = domainStream(rec.Signature, rec.Index, rec.Try); err != nil {
+				return nil, err
+			}
 		}
-		d, err := domain.Select(g, ds, root, rec.DomainCfg)
+		d, err := domain.Select(g, stream.Clone(), root, rec.DomainCfg)
 		if err != nil {
 			continue // this root cannot host the domain; not an input error
 		}

@@ -1,9 +1,12 @@
 package schedwm
 
 import (
+	"slices"
 	"testing"
 
+	"localwm/internal/cdfg"
 	"localwm/internal/designs"
+	"localwm/internal/domain"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
 	"localwm/internal/stats"
@@ -81,5 +84,38 @@ func TestDetectIgnoresSuspectTemporalEdges(t *testing.T) {
 	}
 	if !det.Found {
 		t.Fatal("presence of temporal edges broke detection")
+	}
+}
+
+// TestSortByRankMatchesReference sorts the selected subtree T of every
+// eligible root of a Table I design, as encode sorts T', against the
+// rank-map insertion sort it replaced. T lists a node twice where a
+// consumer reads one value on two input slots, and the duplicates must
+// survive.
+func TestSortByRankMatchesReference(t *testing.T) {
+	g := designs.Layered(designs.MediaBench()[1].Cfg) // G721
+	dups := 0
+	for _, v := range domain.EligibleRoots(g) {
+		d, err := domain.Select(g, prng.MustBitstream([]byte("sort")), v, domain.Config{Tau: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := map[cdfg.NodeID]int{}
+		for i, u := range d.To {
+			rank[u] = i
+		}
+		distinct := map[cdfg.NodeID]bool{}
+		for _, u := range d.T {
+			distinct[u] = true
+		}
+		if len(distinct) < len(d.T) {
+			dups++
+		}
+		if got, want := sortByRank(d.T, d.To), refSortByRank(d.T, rank); !slices.Equal(got, want) {
+			t.Fatalf("root %s: sortByRank %v, reference %v", g.Node(v).Name, got, want)
+		}
+	}
+	if dups == 0 {
+		t.Fatal("no domain listed a node twice; the duplicate case went untested")
 	}
 }

@@ -192,3 +192,15 @@ func prepareReference(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 		LaxityBound:  float64(cp) * (1 - cfg.Epsilon),
 	}, nil
 }
+
+// refSortByRank is the insertion sort over a rank map that sortByRank
+// replaced.
+func refSortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {
+	out := append([]cdfg.NodeID(nil), nodes...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}

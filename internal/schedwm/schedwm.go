@@ -428,7 +428,7 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 			len(tprime), cfg.TauPrime, g.Node(d.Root).Name)
 	}
 	// Canonical order for unambiguous bit consumption.
-	tprime = sortByRank(tprime, d.Order.Rank)
+	tprime = sortByRank(tprime, d.To)
 
 	// Step 5: pseudo-random ordering of T'. The protocol walks this
 	// ordered selection T'' and keeps drawing edges "until all K temporal
@@ -494,7 +494,9 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 		}
 		nk := cands[bs.Intn(len(cands))]
 		wm.Edges = append(wm.Edges, cdfg.Edge{From: ni, To: nk, Kind: cdfg.TemporalEdge})
-		wm.RankEdges = append(wm.RankEdges, [2]int{d.Order.Rank[ni], d.Order.Rank[nk]})
+		ri, _ := d.Order.Rank(ni)
+		rk, _ := d.Order.Rank(nk)
+		wm.RankEdges = append(wm.RankEdges, [2]int{ri, rk})
 		// Refresh the weighted paths so the no-stretch test sees the
 		// accumulated effect of the edges drawn so far.
 		toW, fromW, err := g.WeightedLongest(&env.sc.paths, env.weight, env.unitW, wm.Edges)
@@ -510,11 +512,17 @@ func encode(g *cdfg.Graph, d *domain.Domain, bs *prng.Bitstream, cfg Config, env
 	return wm, nil
 }
 
-func sortByRank(nodes []cdfg.NodeID, rank map[cdfg.NodeID]int) []cdfg.NodeID {
-	out := append([]cdfg.NodeID(nil), nodes...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank[out[j]] < rank[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// sortByRank returns nodes, members of the rank-ordered list ordered,
+// stably sorted by rank: a node listed twice (T lists a value twice when
+// its consumer reads it on two input slots) stays listed twice. ordered
+// is shared (domain.Domain.To) and only read.
+func sortByRank(nodes, ordered []cdfg.NodeID) []cdfg.NodeID {
+	out := make([]cdfg.NodeID, 0, len(nodes))
+	for _, v := range ordered {
+		for _, u := range nodes {
+			if u == v {
+				out = append(out, u)
+			}
 		}
 	}
 	return out

@@ -64,6 +64,11 @@ func (s *Server) handlePutDesign(r *http.Request) (any, error) {
 		return nil, &apiError{status: http.StatusRequestEntityTooLarge,
 			code: lwmapi.CodeTenantQuotaExceeded, msg: err.Error()}
 	}
+	if errors.Is(err, store.ErrAppend) {
+		// A disk-side fault: retryable, unlike a bad design.
+		return nil, &apiError{status: http.StatusInternalServerError,
+			code: lwmapi.CodeInternal, msg: "design: " + err.Error()}
+	}
 	if err != nil {
 		return nil, badRequest("design: %v", err)
 	}

@@ -54,6 +54,13 @@ import (
 // designs) naturally frees headroom.
 var ErrQuotaExceeded = errors.New("store: tenant quota exceeded")
 
+// ErrAppend marks a put that failed because its write-ahead log append
+// did: a disk-side fault such as a full disk or a file size limit, not a
+// fault of the design. Nothing stays resident, so the same put may
+// succeed on retry. The daemon maps it to 500 internal, which is
+// retryable.
+var ErrAppend = errors.New("store: wal append")
+
 // Config sizes the registry. The zero value is a usable in-memory-only
 // store with the documented defaults.
 type Config struct {
@@ -386,7 +393,7 @@ func (s *Store) PutOwnedFamily(fam, tenant, text string, maxBytes, maxEntries in
 	if s.wal != nil {
 		if err := s.wal.Append(designRecord(d), s.snapshotRecords); err != nil {
 			s.drop(d)
-			return nil, false, fmt.Errorf("store: wal append: %w", err)
+			return nil, false, fmt.Errorf("%w: %w", ErrAppend, err)
 		}
 	}
 	s.puts.Add(1)

@@ -158,22 +158,28 @@ func VerifyOwnership(g *cdfg.Graph, lib *tmatch.Library, cover *tmatch.Cover,
 func detectDomainMode(g *cdfg.Graph, lib *tmatch.Library, rec Record,
 	check func(*order.Result) (*Detection, error)) (*Detection, error) {
 	best := &Detection{Total: len(rec.RankEnforced), Root: cdfg.None}
-	var fp []byte // reused: the fingerprint test allocates nothing per root
-	for _, root := range g.Computational() {
+	var fpm *domain.FingerprintMatcher
+	if rec.RootFP != "" {
+		fpm = domain.NewFingerprintMatcher(rec.RootFP)
+	}
+	// Key the walk sub-stream once, at the first root that needs it, and
+	// replay a clone per root (see schedwm.Detect).
+	var stream *prng.Bitstream
+	for root := cdfg.NodeID(0); int(root) < g.Len(); root++ {
 		if !domain.Eligible(g, root) {
 			continue
 		}
-		if rec.RootFP != "" {
-			if fp = domain.AppendRootFingerprint(fp[:0], g, root); string(fp) != rec.RootFP {
-				continue // cheap structural rejection
-			}
+		if fpm != nil && !fpm.Match(g, root) {
+			continue // cheap structural rejection
 		}
 		best.RootsTried++
-		ds, err := domainStream(rec.Signature, rec.Index, rec.Try)
-		if err != nil {
-			return nil, err
+		if stream == nil {
+			var err error
+			if stream, err = domainStream(rec.Signature, rec.Index, rec.Try); err != nil {
+				return nil, err
+			}
 		}
-		d, err := domain.Select(g, ds, root, rec.DomainCfg)
+		d, err := domain.Select(g, stream.Clone(), root, rec.DomainCfg)
 		if err != nil {
 			continue
 		}

@@ -112,7 +112,9 @@ type Watermark struct {
 	// RankEnforced is the detector-facing description of Enforced.
 	RankEnforced []RankMatching
 
-	Order *order.Result // the ordering ranks refer to
+	// Order is the ordering ranks refer to. In domain mode it is the
+	// domain's shared, read-only ordering (domain.Domain.Order).
+	Order *order.Result
 	Tries int
 }
 
@@ -299,7 +301,7 @@ func encode(g *cdfg.Graph, bs *prng.Bitstream, cfg Config,
 
 		rm := RankMatching{Template: m.Template}
 		for _, v := range m.Nodes {
-			r, ok := ord.Rank[v]
+			r, ok := ord.Rank(v)
 			if !ok {
 				return nil, fmt.Errorf("tmwm: internal: matched node %s outside ordering", g.Node(v).Name)
 			}
