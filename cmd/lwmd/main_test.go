@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -82,19 +83,15 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("embed: status %d, watermarks %d", er.StatusCode, embed.Watermarks)
 	}
 
-	dr, err := http.Get("http://" + debugAddr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Lwmd map[string]any `json:"lwmd"`
-	}
-	if err := json.NewDecoder(dr.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	dr.Body.Close()
-	if vars.Lwmd == nil {
-		t.Fatal("expvar \"lwmd\" not published on the debug port")
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
+		dr, err := http.Get("http://" + debugAddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr.Body.Close()
+		if dr.StatusCode != http.StatusOK {
+			t.Fatalf("debug port %s: status %d", path, dr.StatusCode)
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -159,22 +156,19 @@ func TestDaemonStoreDirSurvivesRestart(t *testing.T) {
 			t.Fatal("daemon did not drain after SIGTERM")
 		}
 	}
+	// storeStats reads the unlabeled lwmd_store_<name> series, keyed by
+	// name ("puts", "entries", ...).
 	storeStats := func(base string) map[string]float64 {
-		sr, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
+		out := map[string]float64{}
+		for family, series := range getStats(t, base) {
+			if name, ok := strings.CutPrefix(family, "lwmd_store_"); ok {
+				out[strings.TrimSuffix(name, "_total")] = series[0].Value
+			}
 		}
-		defer sr.Body.Close()
-		var snap struct {
-			Store map[string]float64 `json:"store"`
+		if len(out) == 0 {
+			t.Fatal("/v1/stats has no lwmd_store_* families")
 		}
-		if err := json.NewDecoder(sr.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.Store == nil {
-			t.Fatal("stats snapshot has no store section")
-		}
-		return snap.Store
+		return out
 	}
 
 	base, done := boot()
@@ -243,6 +237,27 @@ func TestDaemonStoreDirSurvivesRestart(t *testing.T) {
 	stop(done)
 }
 
+// statsSeries is one counter or gauge series on /v1/stats.
+type statsSeries struct {
+	Labels map[string]string `json:"labels"`
+	Value  float64           `json:"value"`
+}
+
+// getStats fetches GET /v1/stats: family name to series.
+func getStats(t *testing.T, base string) map[string][]statsSeries {
+	t.Helper()
+	sr, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Body.Close()
+	var st map[string][]statsSeries
+	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "not-an-address"}); err == nil {
 		t.Fatal("bad -addr accepted")
@@ -253,9 +268,9 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 }
 
 // TestDaemonChaosFlag boots the daemon with -chaos and requires the
-// fault injector to be wired in: the /v1/stats snapshot carries the
-// chaos counters (absent by default — the zero-flag path must stay
-// byte-identical to a build without the chaos layer).
+// fault injector to be wired in: /v1/stats carries the
+// lwmd_chaos_requests_total family (absent by default — the zero-flag
+// path must stay byte-identical to a build without the chaos layer).
 func TestDaemonChaosFlag(t *testing.T) {
 	for _, chaosOn := range []bool{false, true} {
 		addr := freePort(t)
@@ -279,17 +294,8 @@ func TestDaemonChaosFlag(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		sr, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap map[string]any
-		if err := json.NewDecoder(sr.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		sr.Body.Close()
-		if _, ok := snap["chaos"]; ok != chaosOn {
-			t.Fatalf("-chaos=%v but snapshot chaos key present=%v", chaosOn, ok)
+		if _, ok := getStats(t, base)["lwmd_chaos_requests_total"]; ok != chaosOn {
+			t.Fatalf("-chaos=%v but lwmd_chaos_requests_total present=%v", chaosOn, ok)
 		}
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			t.Fatal(err)

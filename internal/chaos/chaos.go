@@ -125,20 +125,6 @@ func (in *Injector) Counters() Counters {
 	}
 }
 
-// Snapshot renders the counters as the plain map the daemon's expvar
-// snapshot embeds.
-func (in *Injector) Snapshot() map[string]any {
-	c := in.Counters()
-	return map[string]any{
-		"seed":        in.cfg.Seed,
-		"requests":    c.Requests,
-		"latencies":   c.Latencies,
-		"resets":      c.Resets,
-		"errors_500":  c.Errors,
-		"truncations": c.Truncations,
-	}
-}
-
 // fault kinds (mutually exclusive; latency composes with all of them).
 const (
 	faultNone = iota

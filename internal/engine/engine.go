@@ -123,6 +123,11 @@ func VerifyOwnershipCtx(ctx context.Context, g *cdfg.Graph, s *sched.Schedule, s
 // own job's result slot; callers assemble results by index, never by
 // completion. workers <= 1 runs the jobs in order on the caller's
 // goroutine.
+//
+// A job that panics does not stop the others: every job still runs, and
+// RunPool then re-panics the first recovered value on the caller's
+// goroutine, where the caller's own recover (the server's admission
+// queue, say) can catch it.
 func RunPool(workers, jobs int, run func(job int)) {
 	if jobs <= 0 {
 		return
@@ -132,9 +137,31 @@ func RunPool(workers, jobs int, run func(job int)) {
 	if workers > jobs {
 		workers = jobs
 	}
+	var (
+		mu    sync.Mutex
+		first any // the first recovered panic value
+	)
+	// Runs after every job has finished and every worker has exited.
+	defer func() {
+		if first != nil {
+			panic(first)
+		}
+	}()
+	do := func(j int) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				if first == nil {
+					first = v
+				}
+				mu.Unlock()
+			}
+		}()
+		run(j)
+	}
 	if workers <= 1 {
 		for j := 0; j < jobs; j++ {
-			run(j)
+			do(j)
 		}
 		return
 	}
@@ -145,7 +172,7 @@ func RunPool(workers, jobs int, run func(job int)) {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				run(j)
+				do(j)
 			}
 		}()
 	}

@@ -303,6 +303,38 @@ func TestRunPoolJoinsWorkers(t *testing.T) {
 	}
 }
 
+// TestRunPoolConfinesPanics: a panicking job does not stop the others,
+// and its value reaches the caller's recover on the caller's goroutine —
+// at every width, including the pool's own goroutines.
+func TestRunPoolConfinesPanics(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4, 64} {
+		var mu sync.Mutex
+		seen := make(map[int]int)
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			engine.RunPool(workers, 50, func(job int) {
+				mu.Lock()
+				seen[job]++
+				mu.Unlock()
+				if job == 7 {
+					panic("job 7")
+				}
+			})
+			return nil
+		}()
+		if got != "job 7" {
+			t.Fatalf("workers=%d: recovered %v, want the job's panic value", workers, got)
+		}
+		for job := 0; job < 50; job++ {
+			if seen[job] != 1 {
+				t.Fatalf("workers=%d: job %d ran %d times", workers, job, seen[job])
+			}
+		}
+		settle(t, base)
+	}
+}
+
 // settle waits until the goroutine count is back at base, failing after
 // a second. A worker has called wg.Done before it exits, so the count
 // can briefly trail RunPool's return.

@@ -569,14 +569,20 @@ func (m *Manager) work() {
 
 // runAttempt executes one attempt under the manager's root context with
 // a job-linked trace, so engine spans and log lines correlate on the
-// job's ID.
-func (m *Manager) runAttempt(job *Job) ([]byte, error) {
+// job's ID. An executor panic fails the job permanently, naming the
+// panic value, and leaves the worker running.
+func (m *Manager) runAttempt(job *Job) (result []byte, err error) {
 	ctx := WithTenant(m.ctx, job.Tenant)
 	ctx = obs.WithTrace(ctx, obs.NewTrace(obs.TraceID(job.Trace())))
 	ctx, span := obs.StartSpan(ctx, "job.attempt")
 	span.SetAttr("job_id", job.ID)
 	span.SetAttr("attempt", job.Attempt)
 	defer span.Finish()
+	defer func() {
+		if v := recover(); v != nil {
+			result, err = nil, Permanent(fmt.Errorf("jobs: executor panicked: %v", v))
+		}
+	}()
 	return m.exec(ctx, job.Kind, job.Payload)
 }
 

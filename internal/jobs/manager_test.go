@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -164,6 +165,38 @@ func TestManagerPermanentFailsImmediately(t *testing.T) {
 	}
 	if c := m.Counters(); c.Retries != 0 {
 		t.Fatalf("retries counter %d, want 0", c.Retries)
+	}
+}
+
+// TestManagerExecutorPanicFailsJob: an executor panic fails that job
+// permanently, naming the panic, and the worker goes on to run the next
+// job; Close still returns.
+func TestManagerExecutorPanicFailsJob(t *testing.T) {
+	m, err := Open(Config{Workers: 1, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(func(_ context.Context, kind string, payload json.RawMessage) ([]byte, error) {
+		if kind == "detect" {
+			panic("index out of range [-1]")
+		}
+		return echoExec(context.Background(), kind, payload)
+	})
+
+	bad := mustSubmit(t, m, Submission{Kind: "detect", MaxAttempts: 3})
+	good := mustSubmit(t, m, Submission{Kind: "embed"})
+	got := waitTerminal(t, m, bad.ID)
+	if got.State != StateFailed || got.Attempt != 1 || !strings.Contains(got.Error, "index out of range [-1]") {
+		t.Fatalf("panicking job: state %s attempt %d error %q, want failed on attempt 1 naming the panic",
+			got.State, got.Attempt, got.Error)
+	}
+	if got := waitTerminal(t, m, good.ID); got.State != StateDone {
+		t.Fatalf("job after the panic: state %s (err %q), want done", got.State, got.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

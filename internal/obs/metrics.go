@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,22 +147,58 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // series is one labeled instance of a metric family.
 type series struct {
-	labels  string // rendered {k="v",...}, "" for unlabeled
-	counter *Counter
-	fn      func() float64
-	hist    *Histogram
+	labels   string            // rendered {k="v",...}, "" for unlabeled
+	labelMap map[string]string // the same set, for WriteJSON
+	counter  *Counter
+	fn       func() float64
+	hist     *Histogram
+}
+
+// value reads a counter or function series.
+func (s *series) value() float64 {
+	if s.counter != nil {
+		return float64(s.counter.Value())
+	}
+	return s.fn()
+}
+
+// Sample is one series of a SeriesFunc family: its labels and current
+// value.
+type Sample struct {
+	Labels map[string]string
+	Value  float64
 }
 
 // family is one named metric with its type, help text, and series.
 type family struct {
 	name, help, typ string
 	series          []*series
+	// samples, when set, supplies the whole series list at exposition
+	// time instead (SeriesFunc).
+	samples func() []Sample
+}
+
+// current returns the family's series: the registered ones, or the
+// samples read now.
+func (f *family) current() []*series {
+	if f.samples == nil {
+		return f.series
+	}
+	smps := f.samples()
+	out := make([]*series, len(smps))
+	for i, smp := range smps {
+		v := smp.Value
+		out[i] = &series{labels: renderLabels(smp.Labels), labelMap: smp.Labels,
+			fn: func() float64 { return v }}
+	}
+	return out
 }
 
 // Registry holds metric families and renders them in the Prometheus
-// text exposition format. Metric registration normally happens at
-// setup time; registration and exposition are mutex-guarded, metric
-// updates are atomic and lock-free.
+// text exposition format (WritePrometheus) or as JSON (WriteJSON).
+// Metric registration normally happens at setup time; registration and
+// exposition are mutex-guarded, metric updates are atomic and
+// lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -195,7 +233,10 @@ func renderLabels(labels map[string]string) string {
 	return b.String()
 }
 
-func (r *Registry) add(name, help, typ string, s *series) {
+// add appends series s, labeled with labels, to family name. The
+// registry keeps its own copy of the label map.
+func (r *Registry) add(name, help, typ string, labels map[string]string, s *series) {
+	s.labels, s.labelMap = renderLabels(labels), maps.Clone(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -214,28 +255,42 @@ func (r *Registry) add(name, help, typ string, s *series) {
 // series for the given labels.
 func (r *Registry) Counter(name, help string, labels map[string]string) *Counter {
 	c := &Counter{}
-	r.add(name, help, "counter", &series{labels: renderLabels(labels), counter: c})
+	r.add(name, help, "counter", labels, &series{counter: c})
 	return c
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// exposition time — the bridge for pre-existing atomic counters (engine,
-// oracle, chaos, client) that must not be double-counted.
+// exposition time — the bridge for counters another package owns
+// (engine, oracle, store, jobs, chaos, client).
 func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() float64) {
-	r.add(name, help, "counter", &series{labels: renderLabels(labels), fn: fn})
+	r.add(name, help, "counter", labels, &series{fn: fn})
 }
 
 // GaugeFunc registers a gauge series read from fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn func() float64) {
-	r.add(name, help, "gauge", &series{labels: renderLabels(labels), fn: fn})
+	r.add(name, help, "gauge", labels, &series{fn: fn})
 }
 
 // Histogram registers a histogram series over the given bounds (nil:
 // DefBuckets) and returns it.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels map[string]string) *Histogram {
 	h := NewHistogram(bounds)
-	r.add(name, help, "histogram", &series{labels: renderLabels(labels), hist: h})
+	r.add(name, help, "histogram", labels, &series{hist: h})
 	return h
+}
+
+// SeriesFunc registers a family of type typ ("counter" or "gauge")
+// whose whole series list is read from fn at exposition time, in the
+// order fn returns it: the hook for a label set that changes while the
+// process runs, such as the daemon's per-tenant families.
+func (r *Registry) SeriesFunc(name, help, typ string, fn func() []Sample) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.families[name]; ok {
+		panic(fmt.Sprintf("obs: metric %q registered twice", name))
+	}
+	r.families[name] = &family{name: name, help: help, typ: typ, samples: fn}
+	r.order = append(r.order, name)
 }
 
 // formatValue renders a sample value: integers without exponent, the
@@ -280,7 +335,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
-		for _, s := range f.series {
+		for _, s := range f.current() {
 			switch {
 			case s.hist != nil:
 				var cum uint64
@@ -306,4 +361,45 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// jsonSample and jsonHistogram are WriteJSON's per-series shapes.
+type jsonSample struct {
+	Labels map[string]string `json:"labels,omitempty"`
+	Value  float64           `json:"value"`
+}
+
+type jsonHistogram struct {
+	Labels map[string]string `json:"labels,omitempty"`
+	Count  uint64            `json:"count"`
+	Sum    float64           `json:"sum"`
+	P50    float64           `json:"p50"`
+	P99    float64           `json:"p99"`
+}
+
+// WriteJSON renders every family as one JSON object keyed by family
+// name. Each value lists the family's series in WritePrometheus order:
+// counters and gauges as {"labels": {...}, "value": v}, histograms as
+// {"labels": {...}, "count": n, "sum": s, "p50": q, "p99": q} with the
+// sum in seconds and the quantiles from Quantile. labels is omitted for
+// an unlabeled series.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string][]any, len(r.order))
+	for _, name := range r.order {
+		list := []any{}
+		for _, s := range r.families[name].current() {
+			if h := s.hist; h != nil {
+				list = append(list, jsonHistogram{Labels: s.labelMap, Count: h.Count(),
+					Sum: h.Sum().Seconds(), P50: h.Quantile(0.5), P99: h.Quantile(0.99)})
+				continue
+			}
+			list = append(list, jsonSample{Labels: s.labelMap, Value: s.value()})
+		}
+		out[name] = list
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log/slog"
 	"strings"
 	"sync"
@@ -188,6 +189,80 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRegistrySeriesFuncAndJSON: a SeriesFunc family renders the
+// samples its hook returns, in that order and after the families
+// registered before it, and WriteJSON lists the same families and series
+// as WritePrometheus.
+func TestRegistrySeriesFuncAndJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("lwm_test_total", "test counter", map[string]string{"endpoint": "embed"}).Add(3)
+	r.GaugeFunc("lwm_test_depth", "test gauge", nil, func() float64 { return 2.5 })
+	h := r.Histogram("lwm_test_seconds", "test histogram", []float64{0.1, 1}, nil)
+	h.Observe(50 * time.Millisecond)
+	h.Observe(500 * time.Millisecond)
+	tenants := []string{"b", "a"}
+	values := []float64{0.12, 1e6, 2e6}
+	r.SeriesFunc("lwm_test_tenant_seconds_total", "per-tenant", "counter", func() []Sample {
+		out := make([]Sample, len(tenants))
+		for i, id := range tenants {
+			out[i] = Sample{Labels: map[string]string{"tenant": id}, Value: values[i]}
+		}
+		return out
+	})
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP lwm_test_tenant_seconds_total per-tenant\n" +
+		"# TYPE lwm_test_tenant_seconds_total counter\n" +
+		`lwm_test_tenant_seconds_total{tenant="b"} 0.12` + "\n" +
+		`lwm_test_tenant_seconds_total{tenant="a"} 1000000` + "\n"
+	if page := buf.String(); !strings.HasSuffix(page, want) {
+		t.Errorf("exposition does not end with the hook's family:\n%s", page)
+	}
+	tenants = append(tenants, "c") // read at exposition time
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `lwm_test_tenant_seconds_total{tenant="c"} 2000000`) {
+		t.Errorf("a sample added after registration is missing:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string][]map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("WriteJSON output: %v:\n%s", err, buf.String())
+	}
+	if len(got) != 4 {
+		t.Errorf("WriteJSON families %v, want 4", got)
+	}
+	if c := got["lwm_test_total"]; len(c) != 1 || c[0]["value"] != 3.0 ||
+		c[0]["labels"].(map[string]any)["endpoint"] != "embed" {
+		t.Errorf("counter %v", c)
+	}
+	if g := got["lwm_test_depth"]; len(g) != 1 || g[0]["value"] != 2.5 || g[0]["labels"] != nil {
+		t.Errorf("unlabeled gauge %v", g)
+	}
+	if hs := got["lwm_test_seconds"]; len(hs) != 1 || hs[0]["count"] != 2.0 || hs[0]["sum"] != 0.55 ||
+		hs[0]["p50"] != 0.1 || hs[0]["p99"] != 1.0 {
+		t.Errorf("histogram %v", hs)
+	}
+	ts := got["lwm_test_tenant_seconds_total"]
+	if len(ts) != 3 {
+		t.Fatalf("hook family %v, want 3 series", ts)
+	}
+	for i, id := range tenants {
+		if ts[i]["labels"].(map[string]any)["tenant"] != id || ts[i]["value"] != values[i] {
+			t.Errorf("hook series %d = %v, want tenant %s", i, ts[i], id)
 		}
 	}
 }

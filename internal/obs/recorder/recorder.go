@@ -337,26 +337,6 @@ func (r *Recorder) Capacity() int {
 	return r.cfg.Capacity
 }
 
-// Endpoints returns the endpoint names with retained traces, sorted —
-// a cheap facet for the /v1/stats traces block.
-func (r *Recorder) Endpoints() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, e := range r.entries {
-		seen[e.Endpoint] = true
-	}
-	out := make([]string, 0, len(seen))
-	for ep := range seen {
-		out = append(out, ep)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ValidID reports whether id is plausible as a trace ID — a defensive
 // bound before map lookup on an attacker-supplied path segment.
 func ValidID(id string) bool {

@@ -176,7 +176,6 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 				r.List(Filter{Result: "error", Limit: 10})
 				r.Get("c-0-0")
 				r.Counters()
-				r.Endpoints()
 			}
 		}()
 	}

@@ -132,7 +132,7 @@ func Detect(g *cdfg.Graph, s *sched.Schedule, rec Record) (*Detection, error) {
 		cand := Candidate{Root: root, Pc: 0}
 		ok := true
 		for _, re := range rec.RankEdges {
-			if re[0] >= len(d.To) || re[1] >= len(d.To) {
+			if re[0] < 0 || re[0] >= len(d.To) || re[1] < 0 || re[1] >= len(d.To) {
 				ok = false
 				break
 			}

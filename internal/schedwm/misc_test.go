@@ -87,6 +87,35 @@ func TestDetectIgnoresSuspectTemporalEdges(t *testing.T) {
 	}
 }
 
+// TestDetectRejectsOutOfRangeRanks: a record is client input, so a rank
+// outside [0, |T|) makes the constraint unmappable at every root — the
+// scan reports not found instead of indexing out of range.
+func TestDetectRejectsOutOfRangeRanks(t *testing.T) {
+	g := designs.Layered(designs.MediaBench()[0].Cfg)
+	cp := mustCP(t, g)
+	wm := embedOn(t, g, "bad-rank", Config{Tau: 20, K: 3, Epsilon: 0.25, Budget: cp + 6})
+	s, err := sched.ListSchedule(g, sched.ListOpts{UseTemporal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det, err := Detect(g, s, wm.Record()); err != nil || !det.Found {
+		t.Fatalf("valid record: found=%v err=%v", det != nil && det.Found, err)
+	}
+	for _, bad := range []struct{ edge, end, rank int }{
+		{0, 0, -1}, {0, 1, -1}, {len(wm.RankEdges) - 1, 1, -1}, {0, 0, 1 << 30},
+	} {
+		rec := wm.Record()
+		rec.RankEdges[bad.edge][bad.end] = bad.rank
+		det, err := Detect(g, s, rec)
+		if err != nil {
+			t.Fatalf("rank %d at edge %d end %d: %v", bad.rank, bad.edge, bad.end, err)
+		}
+		if det.Found {
+			t.Errorf("rank %d at edge %d end %d: found", bad.rank, bad.edge, bad.end)
+		}
+	}
+}
+
 // TestSortByRankMatchesReference sorts the selected subtree T of every
 // eligible root of a Table I design, as encode sorts T', against the
 // rank-map insertion sort it replaced. T lists a node twice where a

@@ -287,7 +287,7 @@ func TestFamilyServeByteIdentity(t *testing.T) {
 }
 
 // TestFamilyMetricsAndStats: family-dispatched requests show up in the
-// per-family Prometheus series and the /v1/stats families block.
+// per-family series on /metrics and /v1/stats.
 func TestFamilyMetricsAndStats(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -323,25 +323,14 @@ func TestFamilyMetricsAndStats(t *testing.T) {
 		}
 	}
 
-	resp, data = doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/stats: status %d", resp.StatusCode)
+	st := getStats(t, ts.URL)
+	if got := st.value(t, "lwmd_family_requests_total", "family=gcolor", "endpoint=embed"); got != 1 {
+		t.Errorf("gcolor embed requests = %v", got)
 	}
-	var stats map[string]json.RawMessage
-	if err := json.Unmarshal(data, &stats); err != nil {
-		t.Fatal(err)
+	if got := st.value(t, "lwmd_family_errors_total", "family=tmwm", "endpoint=embed"); got != 1 {
+		t.Errorf("tmwm embed errors = %v", got)
 	}
-	var fams map[string]map[string]map[string]uint64
-	if err := json.Unmarshal(stats["families"], &fams); err != nil {
-		t.Fatalf("families stats block: %v: %s", err, stats["families"])
-	}
-	if got := fams["gcolor"]["embed"]["requests"]; got != 1 {
-		t.Errorf("gcolor embed requests = %d: %s", got, stats["families"])
-	}
-	if got := fams["tmwm"]["embed"]["errors"]; got != 1 {
-		t.Errorf("tmwm embed errors = %d: %s", got, stats["families"])
-	}
-	if _, ok := fams["sched"]; !ok {
-		t.Errorf("sched missing from families block: %s", stats["families"])
+	if got := st.value(t, "lwmd_family_requests_total", "family=sched", "endpoint=detect"); got != 0 {
+		t.Errorf("sched detect requests = %v", got)
 	}
 }

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"expvar"
-	"math"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"localwm/internal/cdfg"
@@ -18,74 +14,20 @@ import (
 	"localwm/internal/obs/recorder"
 	"localwm/internal/robust"
 	"localwm/internal/store"
+	"localwm/internal/tenant"
 	"localwm/lwmapi"
 )
 
-// latWindow keeps the most recent request latencies of one endpoint in a
-// fixed ring, enough to answer p50/p99 for a live dashboard without
-// unbounded memory. Quantiles are computed over whatever the ring holds.
-//
-// The window backs only the expvar snapshot's p50_ms/p99_ms fields
-// (kept for dashboard compatibility); the scrape-facing source of truth
-// is the fixed-bucket histogram on /metrics, which aggregates across
-// replicas where a ring of raw samples cannot.
-type latWindow struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	next int
-	n    int
-}
-
-const latWindowSize = 512
-
-func newLatWindow() *latWindow { return &latWindow{buf: make([]time.Duration, latWindowSize)} }
-
-func (l *latWindow) add(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the q-quantile (0 < q <= 1) of the window, or 0 when
-// empty. Nearest-rank (rank = ceil(q·n)) on a sorted copy, so the
-// extreme quantiles behave at small window sizes: p99 of any window
-// shorter than 100 samples is the maximum, never one below it — the
-// earlier round-half-up rank was biased one sample low whenever q·n
-// landed just above an integer (p99 of 52 samples returned the 51st).
-func (l *latWindow) quantile(q float64) time.Duration {
-	l.mu.Lock()
-	sample := append([]time.Duration(nil), l.buf[:l.n]...)
-	l.mu.Unlock()
-	if len(sample) == 0 {
-		return 0
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	idx := int(math.Ceil(q*float64(len(sample)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sample) {
-		idx = len(sample) - 1
-	}
-	return sample[idx]
-}
-
-// endpointMetrics is the per-endpoint slice of the daemon's counters.
+// endpointMetrics is one endpoint's registry series.
 type endpointMetrics struct {
-	accepted  atomic.Uint64 // admitted to the queue
-	completed atomic.Uint64 // finished with a 2xx
-	failed    atomic.Uint64 // finished with a 4xx/5xx other than below
-	rejected  atomic.Uint64 // 429: queue full
-	timedOut  atomic.Uint64 // 504: deadline expired while queued/running
-	panicked  atomic.Uint64 // 500: job panic confined by the pool
-	drained   atomic.Uint64 // 503: rejected because the daemon is draining
-	lat       *latWindow
+	// lwmd_requests_total, by result.
+	ok       *obs.Counter // finished with a 2xx
+	failed   *obs.Counter // finished with a 4xx/5xx other than below
+	rejected *obs.Counter // 429: queue full or tenant rate limit
+	timedOut *obs.Counter // 504: deadline expired while queued/running
+	panicked *obs.Counter // 500: job panic confined by the pool
+	drained  *obs.Counter // 503: rejected because the daemon is draining
 
-	// Prometheus-facing series, registered on the server's registry.
 	hist      *obs.Histogram // request duration (admitted requests)
 	queueWait *obs.Histogram // submit-to-start wait (requests that ran)
 }
@@ -97,11 +39,10 @@ type endpointMetrics struct {
 // scrape always shows the full label space (at zero) and a dashboard can
 // alert on a family that never sees traffic.
 type familyMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
+	requests, errors *obs.Counter
 }
 
-// metrics aggregates everything the daemon exposes over expvar.
+// metrics holds the registry series the request path bumps directly.
 type metrics struct {
 	start     time.Time
 	endpoints map[string]*endpointMetrics
@@ -112,25 +53,6 @@ type metrics struct {
 // registry and therefore carry per-family series.
 var familyEndpoints = []string{epEmbed, epDetect, epVerify, epDesigns, epRobust}
 
-func newMetrics(endpoints ...string) *metrics {
-	m := &metrics{
-		start:     time.Now(),
-		endpoints: make(map[string]*endpointMetrics),
-		families:  make(map[string]map[string]*familyMetrics),
-	}
-	for _, ep := range endpoints {
-		m.endpoints[ep] = &endpointMetrics{lat: newLatWindow()}
-	}
-	for _, fam := range family.Names() {
-		per := make(map[string]*familyMetrics, len(familyEndpoints))
-		for _, ep := range familyEndpoints {
-			per[ep] = &familyMetrics{}
-		}
-		m.families[fam] = per
-	}
-	return m
-}
-
 // observeFamily counts one family-dispatched request on an endpoint.
 // Unknown (family, endpoint) pairs are dropped — the label space is the
 // static registry cross compute endpoints, never request-supplied text.
@@ -139,50 +61,55 @@ func (m *metrics) observeFamily(fam, endpoint string, err error) {
 	if fm == nil {
 		return
 	}
-	fm.requests.Add(1)
+	fm.requests.Inc()
 	if err != nil {
-		fm.errors.Add(1)
+		fm.errors.Inc()
 	}
 }
 
-// buildRegistry assembles the server's Prometheus registry: per-endpoint
-// request counters and latency/queue-wait histograms, queue gauges, the
-// process-wide engine and oracle counters, and (when fault injection is
-// on) the chaos counters. Called once from New, after the queues exist.
+// buildRegistry assembles the server's registry, the daemon's one
+// metrics store: per-endpoint request counters and latency/queue-wait
+// histograms, queue gauges, the process-wide engine and oracle counters,
+// the optional chaos, recorder and profiler families, and the per-tenant
+// families. It fills s.metrics with the series the request path bumps.
+// Called once from New, after the queues exist.
 func (s *Server) buildRegistry() *obs.Registry {
 	r := obs.NewRegistry()
+	s.metrics = &metrics{
+		start:     time.Now(),
+		endpoints: make(map[string]*endpointMetrics, len(s.queues)),
+		families:  make(map[string]map[string]*familyMetrics),
+	}
 
-	names := make([]string, 0, len(s.metrics.endpoints))
-	for name := range s.metrics.endpoints {
+	names := make([]string, 0, len(s.queues))
+	for name := range s.queues {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
 	for _, name := range names {
-		em := s.metrics.endpoints[name]
 		q := s.queues[name]
 		lbl := map[string]string{"endpoint": name}
-		em.hist = r.Histogram("lwmd_request_duration_seconds",
-			"Admitted request duration (queue wait + execution), by endpoint.", nil, lbl)
-		em.queueWait = r.Histogram("lwmd_queue_wait_seconds",
-			"Admission-queue wait before a worker picked the request up, by endpoint.", nil, lbl)
-		for _, res := range []struct {
-			name string
-			c    *atomic.Uint64
-		}{
-			{"ok", &em.completed},
-			{"error", &em.failed},
-			{"rejected", &em.rejected},
-			{"timeout", &em.timedOut},
-			{"panic", &em.panicked},
-			{"drained", &em.drained},
-		} {
-			c := res.c
-			r.CounterFunc("lwmd_requests_total",
+		res := func(result string) *obs.Counter {
+			return r.Counter("lwmd_requests_total",
 				"Finished requests by endpoint and result (ok, error, rejected, timeout, panic, drained).",
-				map[string]string{"endpoint": name, "result": res.name},
-				func() float64 { return float64(c.Load()) })
+				map[string]string{"endpoint": name, "result": result})
 		}
+		// Fields in registration order, which is the series order on
+		// /metrics.
+		em := &endpointMetrics{
+			hist: r.Histogram("lwmd_request_duration_seconds",
+				"Admitted request duration (queue wait + execution), by endpoint.", nil, lbl),
+			queueWait: r.Histogram("lwmd_queue_wait_seconds",
+				"Admission-queue wait before a worker picked the request up, by endpoint.", nil, lbl),
+			ok:       res("ok"),
+			failed:   res("error"),
+			rejected: res("rejected"),
+			timedOut: res("timeout"),
+			panicked: res("panic"),
+			drained:  res("drained"),
+		}
+		s.metrics.endpoints[name] = em
 		r.GaugeFunc("lwmd_queue_depth",
 			"Queued plus currently executing requests, by endpoint.", lbl,
 			func() float64 { return float64(q.depth()) })
@@ -194,16 +121,17 @@ func (s *Server) buildRegistry() *obs.Registry {
 	// Per-family request counters, one series per registered family ×
 	// family-dispatched endpoint, present (at zero) from startup.
 	for _, fam := range family.Names() {
+		per := make(map[string]*familyMetrics, len(familyEndpoints))
 		for _, ep := range familyEndpoints {
-			fm := s.metrics.families[fam][ep]
 			lbl := map[string]string{"family": fam, "endpoint": ep}
-			r.CounterFunc("lwmd_family_requests_total",
-				"Requests dispatched through a watermark family's protocol, by family and endpoint.",
-				lbl, func() float64 { return float64(fm.requests.Load()) })
-			r.CounterFunc("lwmd_family_errors_total",
-				"Family-dispatched requests that returned an error, by family and endpoint.",
-				lbl, func() float64 { return float64(fm.errors.Load()) })
+			per[ep] = &familyMetrics{
+				requests: r.Counter("lwmd_family_requests_total",
+					"Requests dispatched through a watermark family's protocol, by family and endpoint.", lbl),
+				errors: r.Counter("lwmd_family_errors_total",
+					"Family-dispatched requests that returned an error, by family and endpoint.", lbl),
+			}
 		}
+		s.metrics.families[fam] = per
 	}
 
 	r.GaugeFunc("lwmd_draining",
@@ -428,13 +356,52 @@ func (s *Server) buildRegistry() *obs.Registry {
 		r.GaugeFunc("lwmd_prof_bytes", "Bytes of resident pprof snapshots.", nil,
 			func() float64 { return float64(prof.Counters().Bytes) })
 	}
+
+	// Per-tenant series, last: the tenant set changes on SIGHUP, so each
+	// family reads the meter at exposition time, one series per tenant,
+	// sorted by tenant.
+	for _, tf := range []struct {
+		name, typ, help string
+		value           func(u tenant.Usage) float64
+	}{
+		{"lwmd_tenant_requests_total", "counter", "Authenticated requests per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.Requests) }},
+		{"lwmd_tenant_rate_limited_total", "counter", "Requests rejected by the tenant token bucket.",
+			func(u tenant.Usage) float64 { return float64(u.RateLimited) }},
+		{"lwmd_tenant_quota_denied_total", "counter", "Store writes rejected by tenant quota.",
+			func(u tenant.Usage) float64 { return float64(u.QuotaDenied) }},
+		{"lwmd_tenant_engine_seconds_total", "counter", "Engine wall-clock seconds spent per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.EngineMillis) / 1e3 }},
+		{"lwmd_tenant_jobs_submitted_total", "counter", "Async jobs accepted per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.JobsSubmitted) }},
+		{"lwmd_tenant_campaigns_total", "counter", "Robustness campaigns run per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.Campaigns) }},
+		{"lwmd_tenant_store_bytes", "gauge", "Resident design-registry bytes per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.StoreBytes) }},
+		{"lwmd_tenant_store_entries", "gauge", "Resident design-registry entries per tenant.",
+			func(u tenant.Usage) float64 { return float64(u.StoreEntries) }},
+	} {
+		value := tf.value
+		r.SeriesFunc(tf.name, tf.help, tf.typ, func() []obs.Sample {
+			snap := s.meter.Snapshot(s.storeUsageOf)
+			ids := make([]string, 0, len(snap))
+			for id := range snap {
+				ids = append(ids, id)
+			}
+			sort.Strings(ids)
+			out := make([]obs.Sample, len(ids))
+			for i, id := range ids {
+				out[i] = obs.Sample{Labels: map[string]string{"tenant": id}, Value: value(snap[id])}
+			}
+			return out
+		})
+	}
 	return r
 }
 
 // MetricsHandler serves the server's registry in the Prometheus text
 // exposition format — mounted at GET /metrics on both the service and
-// debug muxes. Scrape it alongside /debug/vars; the histogram counts
-// here and the expvar counters there move in lockstep.
+// debug muxes.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -444,163 +411,12 @@ func (s *Server) MetricsHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.reg.WritePrometheus(w)
-		// Tenant series are dynamic (the set changes on SIGHUP), so they
-		// render straight from the meter after the static registry.
-		s.meter.WritePrometheus(w, s.storeUsageOf)
 	})
 }
 
-// snapshot renders the full metrics state as the plain map expvar.Func
-// marshals. Engine and oracle counters are process-wide (see
-// engine.Stats, cdfg.OracleStats); everything else is per server.
-func (s *Server) snapshot() map[string]any {
-	out := map[string]any{
-		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
-		"draining":       s.draining.Load(),
-	}
-	eps := map[string]any{}
-	for name, em := range s.metrics.endpoints {
-		q := s.queues[name]
-		eps[name] = map[string]any{
-			"accepted":       em.accepted.Load(),
-			"completed":      em.completed.Load(),
-			"failed":         em.failed.Load(),
-			"rejected_429":   em.rejected.Load(),
-			"timeout_504":    em.timedOut.Load(),
-			"panic_500":      em.panicked.Load(),
-			"drained_503":    em.drained.Load(),
-			"queue_depth":    q.depth(),
-			"queue_capacity": cap(q.tasks),
-			"p50_ms":         float64(em.lat.quantile(0.50)) / float64(time.Millisecond),
-			"p99_ms":         float64(em.lat.quantile(0.99)) / float64(time.Millisecond),
-		}
-	}
-	out["endpoints"] = eps
-
-	fams := map[string]any{}
-	for fam, per := range s.metrics.families {
-		block := map[string]any{}
-		for ep, fm := range per {
-			block[ep] = map[string]any{
-				"requests": fm.requests.Load(),
-				"errors":   fm.errors.Load(),
-			}
-		}
-		fams[fam] = block
-	}
-	out["families"] = fams
-
-	hits, misses := cdfg.OracleStats()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	out["path_oracle"] = map[string]any{
-		"hits": hits, "misses": misses, "hit_rate": rate,
-	}
-	es := engine.Stats()
-	out["engine"] = map[string]any{
-		"pool_runs": es.PoolRuns,
-		"pool_jobs": es.PoolJobs,
-	}
-	sc := s.store.Counters()
-	out["store"] = map[string]any{
-		"hits":        sc.Hits,
-		"misses":      sc.Misses,
-		"puts":        sc.Puts,
-		"evictions":   sc.Evictions,
-		"compactions": sc.Compactions,
-		"entries":     sc.Entries,
-		"bytes":       sc.Bytes,
-		"wal_bytes":   sc.WALBytes,
-	}
-	jc := s.jobs.Counters()
-	out["jobs"] = map[string]any{
-		"submitted":          jc.Submitted,
-		"deduped":            jc.Deduped,
-		"completed":          jc.Completed,
-		"failed":             jc.Failed,
-		"retries":            jc.Retries,
-		"webhook_deliveries": jc.WebhookDeliveries,
-		"webhook_failures":   jc.WebhookFailures,
-		"evictions":          jc.Evictions,
-		"compactions":        jc.Compactions,
-		"queued":             jc.Queued,
-		"running":            jc.Running,
-		"resident":           jc.Jobs,
-		"wal_bytes":          jc.WALBytes,
-	}
-	rc := robust.Stats()
-	out["robust"] = map[string]any{
-		"campaigns":   rc.Campaigns,
-		"units":       rc.Units,
-		"unit_errors": rc.UnitErrors,
-		"scans":       rc.Scans,
-		"survivals":   rc.Survivals,
-	}
-	out["tenants"] = s.meter.Snapshot(s.storeUsageOf)
-	if s.cfg.Chaos != nil {
-		out["chaos"] = s.cfg.Chaos.Snapshot()
-	}
-	out["runtime"] = map[string]any{
-		"goroutines":       readRuntimeStat(runtimeGoroutines),
-		"heap_bytes":       readRuntimeStat(runtimeHeapBytes),
-		"gc_pause_seconds": readRuntimeStat(runtimeGCPauses),
-	}
-	if rec := s.recorder; rec != nil {
-		tc := rec.Counters()
-		out["traces"] = map[string]any{
-			"recorded":     tc.Recorded,
-			"kept":         tc.Kept,
-			"kept_error":   tc.KeptError,
-			"kept_slow":    tc.KeptSlow,
-			"kept_sampled": tc.KeptSampled,
-			"dropped":      tc.Dropped,
-			"evicted":      tc.Evicted,
-			"resident":     tc.Resident,
-			"capacity":     rec.Capacity(),
-			"endpoints":    rec.Endpoints(),
-		}
-	}
-	if prof := s.profiler; prof != nil {
-		pc := prof.Counters()
-		out["profiler"] = map[string]any{
-			"captures":  pc.Captures,
-			"cycles":    pc.Cycles,
-			"triggered": pc.Triggered,
-			"errors":    pc.Errors,
-			"pruned":    pc.Pruned,
-			"snapshots": pc.Snapshots,
-			"bytes":     pc.Bytes,
-		}
-	}
-	return out
-}
-
-// The process-global expvar name "lwmd" always reflects the most
-// recently published server. expvar.Publish panics on duplicate names,
-// so the Func is registered once and reads through publishedServer —
-// earlier servers (a drained daemon in a test process, say) stop being
-// snapshotted the moment a successor publishes, instead of the old
-// behavior where the first server kept the name forever and every later
-// Publish silently no-opped.
-var (
-	publishOnce     sync.Once
-	publishedServer atomic.Pointer[Server]
-)
-
-// Publish registers (or re-points) the server's metrics snapshot under
-// the expvar name "lwmd", making it visible on any /debug/vars page in
-// the process. The last server to call this wins the name; the daemon
-// (which runs exactly one server) calls it at startup.
-func (s *Server) Publish() {
-	publishedServer.Store(s)
-	publishOnce.Do(func() {
-		expvar.Publish("lwmd", expvar.Func(func() any {
-			if cur := publishedServer.Load(); cur != nil {
-				return cur.snapshot()
-			}
-			return nil
-		}))
-	})
+// handleStats serves GET /v1/stats: the registry's families and series,
+// the same ones /metrics serves, rendered as JSON (obs.Registry.WriteJSON).
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.reg.WriteJSON(w)
 }

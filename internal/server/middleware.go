@@ -270,7 +270,7 @@ func (s *Server) endpoint(name string, allow []string, handle func(r *http.Reque
 			// A draining instance is down only briefly; a well-behaved
 			// client should back off and land on its replacement, not
 			// hammer this one — same hint the 429 path gives.
-			em.drained.Add(1)
+			em.drained.Inc()
 			setResult("drained", "")
 			w.Header().Set("Retry-After", s.retryAfterSeconds())
 			writeError(w, http.StatusServiceUnavailable, lwmapi.CodeDraining, "draining")
@@ -284,14 +284,14 @@ func (s *Server) endpoint(name string, allow []string, handle func(r *http.Reque
 		// "you, specifically, back off", not daemon-wide pressure.
 		tn, aerr := s.authenticate(r)
 		if aerr != nil {
-			em.failed.Add(1)
+			em.failed.Inc()
 			setResult("unauthorized", aerr.msg)
 			writeError(w, aerr.status, aerr.code, aerr.msg)
 			return
 		}
 		if s.tenants != nil {
 			if ok, retryAfter := s.tenants.Allow(tn.t, time.Now()); !ok {
-				em.rejected.Add(1)
+				em.rejected.Inc()
 				s.meter.RateLimited(tn.ns)
 				setResult("rate_limited", "")
 				w.Header().Set("Retry-After", ceilSeconds(retryAfter))
@@ -342,50 +342,45 @@ func (s *Server) endpoint(name string, allow []string, handle func(r *http.Reque
 
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			em.rejected.Add(1)
+			em.rejected.Inc()
 			setResult("rejected", "")
 			w.Header().Set("Retry-After", s.retryAfterSeconds())
 			writeError(w, http.StatusTooManyRequests, lwmapi.CodeQueueFull, "queue full, retry later")
 			return
 		case errors.Is(err, ErrDraining):
-			em.drained.Add(1)
+			em.drained.Inc()
 			setResult("drained", "")
 			w.Header().Set("Retry-After", s.retryAfterSeconds())
 			writeError(w, http.StatusServiceUnavailable, lwmapi.CodeDraining, "draining")
 			return
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			em.timedOut.Add(1)
+			em.timedOut.Inc()
 			setResult("timeout", "")
 			writeError(w, http.StatusGatewayTimeout, lwmapi.CodeTimeout, "request deadline expired in queue")
 			return
 		case err != nil:
 			var pe *panicError
 			if errors.As(err, &pe) {
-				em.panicked.Add(1)
+				em.panicked.Inc()
 				setResult("panic", pe.Error())
 				writeError(w, http.StatusInternalServerError, lwmapi.CodeInternal, "internal error")
 				return
 			}
-			em.failed.Add(1)
+			em.failed.Inc()
 			setResult("error", err.Error())
 			writeError(w, http.StatusInternalServerError, lwmapi.CodeInternal, err.Error())
 			return
 		}
-		em.accepted.Add(1)
-		em.lat.add(elapsed)
 		em.hist.Observe(elapsed)
 		em.queueWait.Observe(queueWait)
-		// SLO breach check, cheapest-first: only a request that itself
-		// blew the objective pays for the rolling-p99 confirmation, and
-		// only a confirmed breach asks the profiler (which debounces) for
-		// an on-demand capture.
-		if s.cfg.SLO > 0 && elapsed > s.cfg.SLO && s.profiler != nil &&
-			em.lat.quantile(0.99) > s.cfg.SLO {
+		// An SLO breach asks the profiler for an on-demand capture; its
+		// debounce bounds how often one actually runs.
+		if s.cfg.SLO > 0 && elapsed > s.cfg.SLO && s.profiler != nil {
 			s.profiler.Trigger("slo:" + name)
 		}
 
 		if jobErr != nil {
-			em.failed.Add(1)
+			em.failed.Inc()
 			setResult("error", jobErr.Error())
 			var ae *apiError
 			if errors.As(jobErr, &ae) {
@@ -398,7 +393,7 @@ func (s *Server) endpoint(name string, allow []string, handle func(r *http.Reque
 			writeError(w, http.StatusInternalServerError, lwmapi.CodeInternal, jobErr.Error())
 			return
 		}
-		em.completed.Add(1)
+		em.ok.Inc()
 		setResult("ok", "")
 		if ri != nil && ri.echoTraceID != "" {
 			w.Header().Set(obs.TraceHeader, ri.echoTraceID)

@@ -2,7 +2,7 @@ package server
 
 import (
 	"math"
-	rtmetrics "runtime/metrics" // plain "metrics" is the expvar aggregate below
+	rtmetrics "runtime/metrics" // plain "metrics" is the server's series struct
 )
 
 // Runtime health bridge: the three process-vitals series every lwmd

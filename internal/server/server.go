@@ -30,15 +30,15 @@
 //     requests get 503), lets queued and in-flight work finish, and only
 //     then returns — the SIGTERM path of cmd/lwmd.
 //
-// Observability is stdlib-only: expvar-style counters, queue depths, and
-// p50/p99 latencies on /v1/stats and /debug/vars, and net/http/pprof on
+// Observability is stdlib-only: one internal/obs registry holds every
+// counter, gauge and latency histogram, served in the Prometheus text
+// format on /metrics and as JSON on /v1/stats; net/http/pprof rides on
 // the debug handler.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -166,10 +166,10 @@ type Config struct {
 	// capture. The profiler's lifecycle (Start/Close) belongs to whoever
 	// built it — cmd/lwmd.
 	Profiler *profiler.Profiler
-	// SLO, when positive, is the per-endpoint latency objective: when a
-	// request finishes slower than SLO and its endpoint's rolling p99 is
-	// over SLO too, the profiler (if any) is asked for an on-demand
-	// capture. Zero disables the trigger.
+	// SLO, when positive, is the per-endpoint latency objective: every
+	// admitted request that finishes slower than SLO asks the profiler
+	// (if any) for an on-demand capture, which the profiler's debounce
+	// limits to one per window. Zero disables the trigger.
 	SLO time.Duration
 }
 
@@ -261,8 +261,7 @@ func New(cfg Config) *Server {
 		ownJobs = true
 	}
 	s := &Server{
-		cfg:     cfg,
-		metrics: newMetrics(epEmbed, epDetect, epVerify, epDesigns, epJobs, epRobust),
+		cfg: cfg,
 		queues: map[string]*queue{
 			epEmbed:   newQueue(cfg.EmbedWorkers, cfg.QueueSize),
 			epDetect:  newQueue(cfg.DetectWorkers, cfg.QueueSize),
@@ -328,9 +327,7 @@ func (s *Server) Handler() http.Handler {
 	// own traces.
 	s.mountObservatory(mux, true)
 	mux.HandleFunc("/v1/families", s.handleFamilies)
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.snapshot())
-	})
+	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.Handle("/metrics", s.MetricsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -343,17 +340,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// DebugHandler returns the observability mux: expvar at /debug/vars, the
-// server's own snapshot at /debug/lwmd, the Prometheus scrape at
-// /metrics, and the pprof suite under /debug/pprof/. Serve it on a
-// loopback-only port (-debug-addr).
+// DebugHandler returns the observability mux: the Prometheus scrape at
+// /metrics, the trace and profile routes, and the pprof suite under
+// /debug/pprof/. Serve it on a loopback-only port (-debug-addr).
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
-	mux.HandleFunc("/debug/lwmd", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.snapshot())
-	})
 	// The loopback-only debug mux serves the same trace/profile surface
 	// unscoped: an operator sees every tenant's retained traces.
 	s.mountObservatory(mux, false)

@@ -451,7 +451,7 @@ func TestDaemonRequestValidation(t *testing.T) {
 }
 
 // TestDaemonStatsAndDebug checks the observability surface end to end:
-// request counters, queue metrics, latency quantiles, oracle hit rate,
+// request counters, queue metrics, latency quantiles, oracle counters,
 // and the debug mux.
 func TestDaemonStatsAndDebug(t *testing.T) {
 	fx := makeFixture(t, "metrics")
@@ -472,41 +472,22 @@ func TestDaemonStatsAndDebug(t *testing.T) {
 		}
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := getStats(t, ts.URL)
+	if ok := st.value(t, "lwmd_requests_total", "endpoint=detect", "result=ok"); ok < 3 {
+		t.Fatalf("detect ok = %v, want >= 3", ok)
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var snap struct {
-		Endpoints map[string]struct {
-			Accepted  uint64  `json:"accepted"`
-			Completed uint64  `json:"completed"`
-			P50Ms     float64 `json:"p50_ms"`
-			QueueCap  int     `json:"queue_capacity"`
-		} `json:"endpoints"`
-		PathOracle struct {
-			Hits   uint64  `json:"hits"`
-			Misses uint64  `json:"misses"`
-			Rate   float64 `json:"hit_rate"`
-		} `json:"path_oracle"`
-		Engine map[string]uint64 `json:"engine"`
+	lat := st.series(t, "lwmd_request_duration_seconds", "endpoint=detect")
+	if lat.Count < 3 || lat.P50 <= 0 || lat.P99 < lat.P50 {
+		t.Fatalf("detect latency histogram: %+v", lat)
 	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("stats payload: %v: %s", err, data)
+	if c := st.value(t, "lwmd_queue_capacity", "endpoint=detect"); c <= 0 {
+		t.Fatalf("detect queue capacity = %v", c)
 	}
-	det := snap.Endpoints["detect"]
-	if det.Completed < 3 || det.Accepted < 3 {
-		t.Fatalf("detect counters: %+v", det)
-	}
-	if det.P50Ms <= 0 {
-		t.Fatalf("p50 latency not recorded: %+v", det)
-	}
-	if snap.PathOracle.Hits+snap.PathOracle.Misses == 0 {
+	if st.value(t, "lwmd_oracle_hits_total")+st.value(t, "lwmd_oracle_misses_total") == 0 {
 		t.Fatal("oracle counters empty after detections")
 	}
 
-	for _, path := range []string{"/debug/lwmd", "/debug/vars", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
 		resp, err := dbg.Client().Get(dbg.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -515,6 +496,60 @@ func TestDaemonStatsAndDebug(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestDetectNegativeRankRecord: a record whose rank edge names rank -1
+// is client input that maps nowhere. Fanned out over two workers next
+// to a valid record, it reads found: false, and the valid record's
+// outcome is byte-identical to a request carrying it alone.
+func TestDetectNegativeRankRecord(t *testing.T) {
+	fx := makeFixture(t, "alice")
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	bad := fx.records[0]
+	bad.RankEdges = append([][2]int(nil), bad.RankEdges...)
+	bad.RankEdges[0][0] = -1
+	detect := func(recs ...lwmapi.Record) [][]json.RawMessage {
+		t.Helper()
+		body, _ := json.Marshal(lwmapi.DetectRequest{
+			Suspects: []lwmapi.Suspect{{Design: fx.designText, Schedule: fx.scheduleText}},
+			Records:  recs,
+			Workers:  2,
+		})
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/detect", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect: status %d: %s", resp.StatusCode, data)
+		}
+		var out struct {
+			Results [][]json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Results
+	}
+	both := detect(bad, fx.records[1])
+	alone := detect(fx.records[1])
+
+	var badOut, goodOut lwmapi.DetectOutcome
+	if err := json.Unmarshal(both[0][0], &badOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(alone[0][0], &goodOut); err != nil {
+		t.Fatal(err)
+	}
+	if badOut.Found || badOut.Error != "" {
+		t.Errorf("negative-rank record: %s, want found false and no error", both[0][0])
+	}
+	if !goodOut.Found {
+		t.Fatalf("valid record not found: %s", alone[0][0])
+	}
+	if !bytes.Equal(both[0][1], alone[0][0]) {
+		t.Errorf("valid record's outcome changed next to the bad one:\n%s\n%s", both[0][1], alone[0][0])
 	}
 }
 

@@ -230,8 +230,8 @@ func TestDesignRefByteIdenticalToInline(t *testing.T) {
 	}
 }
 
-// TestStoreStatsAndMetrics: registry activity shows up in the /v1/stats
-// store section and as lwmd_store_* series on the Prometheus scrape.
+// TestStoreStatsAndMetrics: registry activity shows up as lwmd_store_*
+// series on /v1/stats and on the Prometheus scrape.
 func TestStoreStatsAndMetrics(t *testing.T) {
 	fx := makeFixture(t, "storemetrics")
 	srv := New(Config{})
@@ -248,34 +248,17 @@ func TestStoreStatsAndMetrics(t *testing.T) {
 		t.Fatal("ghost get did not 404")
 	}
 
-	resp, data := doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d", resp.StatusCode)
+	st := getStats(t, ts.URL)
+	if st.value(t, "lwmd_store_puts_total") != 1 || st.value(t, "lwmd_store_hits_total") < 1 ||
+		st.value(t, "lwmd_store_misses_total") < 1 || st.value(t, "lwmd_store_entries") != 1 ||
+		st.value(t, "lwmd_store_bytes") == 0 {
+		t.Fatalf("store stats: %v", st)
 	}
-	var snap struct {
-		Store struct {
-			Hits    uint64 `json:"hits"`
-			Misses  uint64 `json:"misses"`
-			Puts    uint64 `json:"puts"`
-			Entries int64  `json:"entries"`
-			Bytes   int64  `json:"bytes"`
-		} `json:"store"`
-		Endpoints map[string]struct {
-			Completed uint64 `json:"completed"`
-		} `json:"endpoints"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("stats payload: %v: %s", err, data)
-	}
-	if snap.Store.Puts != 1 || snap.Store.Hits < 1 || snap.Store.Misses < 1 ||
-		snap.Store.Entries != 1 || snap.Store.Bytes == 0 {
-		t.Fatalf("store stats: %+v", snap.Store)
-	}
-	if snap.Endpoints["designs"].Completed < 2 {
-		t.Fatalf("designs endpoint counters: %+v", snap.Endpoints["designs"])
+	if ok := st.value(t, "lwmd_requests_total", "endpoint=designs", "result=ok"); ok < 2 {
+		t.Fatalf("designs ok = %v, want >= 2", ok)
 	}
 
-	resp, data = doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/metrics", nil)
+	resp, data := doJSON(t, ts.Client(), http.MethodGet, ts.URL+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}

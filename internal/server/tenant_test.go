@@ -267,11 +267,15 @@ func TestTenantRateLimited(t *testing.T) {
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", mresp.StatusCode)
 	}
-	if !strings.Contains(string(metrics), `lwmd_tenant_rate_limited_total{tenant="alice"} 1`) {
-		t.Errorf("/metrics missing alice rate-limited series:\n%s", metrics)
-	}
-	if !strings.Contains(string(metrics), `lwmd_tenant_requests_total{tenant="bob"} 3`) {
-		t.Errorf("/metrics missing bob request count:\n%s", metrics)
+	for _, want := range []string{
+		"# TYPE lwmd_tenant_requests_total counter",
+		"# TYPE lwmd_tenant_store_bytes gauge",
+		`lwmd_tenant_rate_limited_total{tenant="alice"} 1`,
+		`lwmd_tenant_requests_total{tenant="bob"} 3`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
 	}
 }
 
@@ -389,23 +393,12 @@ func TestTenantJobIsolation(t *testing.T) {
 		t.Fatalf("alice GET own job: status %d: %s", resp.StatusCode, data)
 	}
 
-	// /v1/stats surfaces the per-tenant usage block.
-	sresp, sdata := getBody(t, ts.Client(), ts.URL+"/v1/stats")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/stats status %d", sresp.StatusCode)
-	}
-	var stats struct {
-		Tenants map[string]tenant.Usage `json:"tenants"`
-	}
-	if err := json.Unmarshal(sdata, &stats); err != nil {
-		t.Fatalf("decoding stats: %v", err)
-	}
-	al, ok := stats.Tenants["alice"]
-	if !ok {
-		t.Fatalf("stats missing alice tenant block: %s", sdata)
-	}
-	if al.Requests < 1 || al.JobsSubmitted != 1 {
-		t.Fatalf("alice usage %+v, want >=1 request and 1 job", al)
+	// /v1/stats surfaces the per-tenant series.
+	usage := getStats(t, ts.URL)
+	if usage.value(t, "lwmd_tenant_requests_total", "tenant=alice") < 1 ||
+		usage.value(t, "lwmd_tenant_jobs_submitted_total", "tenant=alice") != 1 {
+		t.Fatalf("alice usage %v / %v, want >=1 request and 1 job",
+			usage["lwmd_tenant_requests_total"], usage["lwmd_tenant_jobs_submitted_total"])
 	}
 }
 

@@ -1,37 +1,32 @@
 package tenant
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Usage is one tenant's running counters. All fields are guarded by the
-// Meter's mutex-free sync.Map + per-Usage mutex-free atomics pattern:
-// Usage values are only mutated through Meter methods.
+// Usage is one tenant's running counters. The Meter keeps each tenant's
+// Usage behind its own mutex, in a map under the Meter's mutex, and
+// mutates it only through Meter methods; Snapshot hands out copies.
 type Usage struct {
 	// Requests counts requests that passed authentication for this
 	// tenant (whatever their eventual result).
-	Requests uint64 `json:"requests"`
+	Requests uint64
 	// RateLimited counts requests rejected by the tenant's token bucket.
-	RateLimited uint64 `json:"rate_limited"`
+	RateLimited uint64
 	// QuotaDenied counts store writes rejected by the tenant's quota.
-	QuotaDenied uint64 `json:"quota_denied"`
+	QuotaDenied uint64
 	// EngineMillis accumulates wall-clock milliseconds spent running the
 	// watermarking engine on this tenant's behalf (sync handlers and job
 	// attempts both count).
-	EngineMillis int64 `json:"engine_ms"`
+	EngineMillis int64
 	// JobsSubmitted counts async jobs accepted for this tenant.
-	JobsSubmitted uint64 `json:"jobs_submitted"`
+	JobsSubmitted uint64
 	// Campaigns counts robustness campaigns run for this tenant (sync
 	// answers and job attempts both count).
-	Campaigns uint64 `json:"campaigns"`
+	Campaigns uint64
 	// StoreBytes / StoreEntries are the tenant's current resident
 	// footprint in the design registry (gauges, filled in by the store
 	// at snapshot time — the Meter itself doesn't track them).
-	StoreBytes   int64 `json:"store_bytes"`
-	StoreEntries int64 `json:"store_entries"`
+	StoreBytes   int64
+	StoreEntries int64
 }
 
 // counters is the mutable backing for one tenant's Usage.
@@ -147,47 +142,4 @@ func (m *Meter) Snapshot(storeOf StoreUsage) map[string]Usage {
 		out[id] = u
 	}
 	return out
-}
-
-// WritePrometheus emits the lwmd_tenant_* families in exposition format
-// 0.0.4, one labeled series per tenant, tenants sorted for stable
-// scrapes. Unlike the rest of the daemon's metrics (registered
-// statically in internal/obs at startup), tenant series are dynamic —
-// the tenant set changes on SIGHUP — so they are rendered here and
-// appended to the exposition page after the static registry.
-func (m *Meter) WritePrometheus(w io.Writer, storeOf StoreUsage) {
-	snap := m.Snapshot(storeOf)
-	ids := make([]string, 0, len(snap))
-	for id := range snap {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	families := []struct {
-		name, typ, help string
-		value           func(u Usage) float64
-	}{
-		{"lwmd_tenant_requests_total", "counter", "Authenticated requests per tenant.",
-			func(u Usage) float64 { return float64(u.Requests) }},
-		{"lwmd_tenant_rate_limited_total", "counter", "Requests rejected by the tenant token bucket.",
-			func(u Usage) float64 { return float64(u.RateLimited) }},
-		{"lwmd_tenant_quota_denied_total", "counter", "Store writes rejected by tenant quota.",
-			func(u Usage) float64 { return float64(u.QuotaDenied) }},
-		{"lwmd_tenant_engine_seconds_total", "counter", "Engine wall-clock seconds spent per tenant.",
-			func(u Usage) float64 { return float64(u.EngineMillis) / 1e3 }},
-		{"lwmd_tenant_jobs_submitted_total", "counter", "Async jobs accepted per tenant.",
-			func(u Usage) float64 { return float64(u.JobsSubmitted) }},
-		{"lwmd_tenant_campaigns_total", "counter", "Robustness campaigns run per tenant.",
-			func(u Usage) float64 { return float64(u.Campaigns) }},
-		{"lwmd_tenant_store_bytes", "gauge", "Resident design-registry bytes per tenant.",
-			func(u Usage) float64 { return float64(u.StoreBytes) }},
-		{"lwmd_tenant_store_entries", "gauge", "Resident design-registry entries per tenant.",
-			func(u Usage) float64 { return float64(u.StoreEntries) }},
-	}
-	for _, f := range families {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for _, id := range ids {
-			fmt.Fprintf(w, "%s{tenant=%q} %g\n", f.name, id, f.value(snap[id]))
-		}
-	}
 }

@@ -265,20 +265,6 @@ func TestMeter(t *testing.T) {
 		t.Fatalf("anonymous usage = %+v", snap[DefaultID])
 	}
 
-	var sb strings.Builder
-	m.WritePrometheus(&sb, nil)
-	page := sb.String()
-	for _, want := range []string{
-		"# TYPE lwmd_tenant_requests_total counter",
-		"# TYPE lwmd_tenant_store_bytes gauge",
-		`lwmd_tenant_requests_total{tenant="acme"} 2`,
-		`lwmd_tenant_requests_total{tenant="anonymous"} 1`,
-		`lwmd_tenant_engine_seconds_total{tenant="acme"} 0.12`,
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, page)
-		}
-	}
 }
 
 // TestConcurrentUse drives Authenticate/Allow/Reload/Meter from many

@@ -263,8 +263,8 @@ func TestChaosEmbedVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChaosCountersOnStatsEndpoint: the daemon snapshot carries the
-// injected-fault counters (and /v1/stats itself is never injected).
+// TestChaosCountersOnStatsEndpoint: /v1/stats carries the injected-fault
+// counters (and /v1/stats itself is never injected).
 func TestChaosCountersOnStatsEndpoint(t *testing.T) {
 	fx := makeFixture(t, "chaos-stats")
 	inj := chaos.New(chaos.Config{Seed: 3, PError: 1})
@@ -295,17 +295,22 @@ func TestChaosCountersOnStatsEndpoint(t *testing.T) {
 	if sr.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/stats through chaos wiring = %d", sr.StatusCode)
 	}
-	var snap struct {
-		Chaos struct {
-			Requests  uint64 `json:"requests"`
-			Errors500 uint64 `json:"errors_500"`
-		} `json:"chaos"`
+	var stats map[string][]struct {
+		Labels map[string]string `json:"labels"`
+		Value  float64           `json:"value"`
 	}
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := json.Unmarshal(data, &stats); err != nil {
 		t.Fatalf("stats payload: %v: %s", err, data)
 	}
-	if snap.Chaos.Requests != 1 || snap.Chaos.Errors500 != 1 {
-		t.Fatalf("chaos counters on snapshot: %+v", snap.Chaos)
+	requests := stats["lwmd_chaos_requests_total"]
+	var errors500 float64
+	for _, s := range stats["lwmd_chaos_faults_total"] {
+		if s.Labels["kind"] == "error" {
+			errors500 = s.Value
+		}
+	}
+	if len(requests) != 1 || requests[0].Value != 1 || errors500 != 1 {
+		t.Fatalf("chaos series on /v1/stats: requests %v, errors %v", requests, errors500)
 	}
 }
 
