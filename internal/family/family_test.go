@@ -64,7 +64,7 @@ func TestNamesAndInfos(t *testing.T) {
 }
 
 // designTextFor builds a parseable design text for the family.
-func designTextFor(t *testing.T, fam string) string {
+func designTextFor(t testing.TB, fam string) string {
 	t.Helper()
 	if fam == lwmapi.FamilyGcolor {
 		g, err := gcolor.RandomGraph("family-test", 40, 15, 100)
@@ -84,7 +84,7 @@ func designTextFor(t *testing.T, fam string) string {
 // embed response's marked solution where the watermark lives in the
 // solution (tmwm, gcolor), or a freshly computed schedule of the marked
 // design for sched.
-func solutionTextFor(t *testing.T, proto family.Protocol, resp *lwmapi.EmbedResponse) string {
+func solutionTextFor(t testing.TB, proto family.Protocol, resp *lwmapi.EmbedResponse) string {
 	t.Helper()
 	if resp.MarkedSolution != "" {
 		return resp.MarkedSolution

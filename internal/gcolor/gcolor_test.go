@@ -252,6 +252,34 @@ func TestDetectValidation(t *testing.T) {
 	}
 }
 
+// TestDetectRejectsOutOfRangeRanks: a record is client input, so a rank
+// outside [0, len(locality)) on either side of a pair makes the pair
+// unmappable at every root — never an index panic — and the record is
+// not found.
+func TestDetectRejectsOutOfRangeRanks(t *testing.T) {
+	g := testGraph(t)
+	marked := g.Clone()
+	wm, err := Embed(marked, prng.Signature("ranks"), Config{Tau: 10, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := DSATUR(marked)
+	if det, err := Detect(g, col, wm.Record()); err != nil || !det.Found {
+		t.Fatalf("intact record: det %+v, err %v", det, err)
+	}
+	for _, bad := range [][2]int{{-1, 0}, {0, -1}, {-5, -7}, {0, 10}, {1 << 40, 0}} {
+		rec := wm.Record()
+		rec.RankPairs[len(rec.RankPairs)-1] = bad
+		det, err := Detect(g, col, rec)
+		if err != nil {
+			t.Fatalf("ranks %v: %v", bad, err)
+		}
+		if det.Found || det.Separated != 0 || det.Total != len(rec.RankPairs) {
+			t.Fatalf("ranks %v: det %+v, want not found with no separated pair", bad, det)
+		}
+	}
+}
+
 func TestRandomGraphDeterministicConnected(t *testing.T) {
 	a, err := RandomGraph("s", 40, 1, 5)
 	if err != nil {

@@ -286,7 +286,9 @@ func Detect(g *Graph, col Coloring, rec Record) (*Detection, error) {
 		det := &Detection{Root: root, Total: len(rec.RankPairs)}
 		ok := true
 		for _, p := range rec.RankPairs {
-			if p[0] >= len(loc) || p[1] >= len(loc) {
+			// A record is client input: a rank outside the locality,
+			// negative ones included, leaves the pair unmappable here.
+			if p[0] < 0 || p[0] >= len(loc) || p[1] < 0 || p[1] >= len(loc) {
 				ok = false
 				break
 			}

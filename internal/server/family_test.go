@@ -334,3 +334,62 @@ func TestFamilyMetricsAndStats(t *testing.T) {
 		t.Errorf("sched detect requests = %v", got)
 	}
 }
+
+// TestGcolorDetectNegativeRankRecord: a gcolor record is client input,
+// so a negative rank in it is not a daemon fault. /v1/detect answers
+// 200; the bad record is not found, and the good record beside it
+// answers exactly what it answers alone.
+func TestGcolorDetectNegativeRankRecord(t *testing.T) {
+	srv := New(Config{EngineWorkers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	body, _ := json.Marshal(lwmapi.EmbedRequest{
+		Family: lwmapi.FamilyGcolor, Design: gcolorText(t, "ranks"), Signature: "alice",
+	})
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/embed", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("embed: status %d: %s", resp.StatusCode, data)
+	}
+	var er lwmapi.EmbedResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatal(err)
+	}
+	good := er.Records[0]
+	bad := good
+	bad.RankPairs = append([][2]int(nil), good.RankPairs...)
+	bad.RankPairs[0] = [2]int{-1, bad.RankPairs[0][1]}
+
+	detect := func(recs ...lwmapi.Record) lwmapi.DetectResponse {
+		t.Helper()
+		body, _ := json.Marshal(lwmapi.DetectRequest{
+			Family:   lwmapi.FamilyGcolor,
+			Suspects: []lwmapi.Suspect{{Design: er.MarkedDesign, Schedule: er.MarkedSolution}},
+			Records:  recs,
+		})
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/detect", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect: status %d: %s", resp.StatusCode, data)
+		}
+		var dr lwmapi.DetectResponse
+		if err := json.Unmarshal(data, &dr); err != nil {
+			t.Fatal(err)
+		}
+		return dr
+	}
+	alone := detect(good)
+	both := detect(good, bad)
+	if !alone.Results[0][0].Found {
+		t.Fatalf("good record alone not found: %+v", alone.Results[0][0])
+	}
+	if both.Results[0][0] != alone.Results[0][0] {
+		t.Errorf("good record beside a bad one: %+v, alone %+v", both.Results[0][0], alone.Results[0][0])
+	}
+	if out := both.Results[0][1]; out.Found || out.Error != "" {
+		t.Errorf("negative-rank record: %+v, want not found", out)
+	}
+	if both.Detected != 1 {
+		t.Errorf("detected %d, want 1", both.Detected)
+	}
+}
