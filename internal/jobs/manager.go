@@ -805,8 +805,9 @@ func (m *Manager) Counters() Counters {
 // Close drains the manager gracefully: submissions stop, idle workers
 // exit, running attempts finish (bounded by ctx — on expiry they are
 // cancelled and left "running" in the WAL for the next Open to demote),
-// in-flight webhook deliveries complete, and the WAL closes. Queued
-// jobs stay durable for the next Open. Idempotent.
+// in-flight webhook deliveries complete, their idle connections close,
+// and the WAL closes. Queued jobs stay durable for the next Open.
+// Idempotent.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.closed
@@ -830,6 +831,9 @@ func (m *Manager) Close(ctx context.Context) error {
 		m.hooks.Wait()
 	}
 	m.cancel()
+	// A delivered webhook leaves its connection kept alive, with two
+	// transport goroutines waiting on it; no delivery follows Close.
+	m.cfg.Webhook.HTTPClient.CloseIdleConnections()
 	if m.wal != nil {
 		if cerr := m.wal.Close(); cerr != nil && err == nil {
 			err = cerr

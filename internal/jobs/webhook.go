@@ -64,7 +64,8 @@ type WebhookConfig struct {
 	// Timeout bounds each delivery attempt. Zero defaults to 10s.
 	Timeout time.Duration
 	// HTTPClient is the delivering transport (tests inject one). Nil
-	// defaults to a plain &http.Client{}.
+	// defaults to a client with a transport of its own, so Close can
+	// drop the kept-alive connections its deliveries leave behind.
 	HTTPClient *http.Client
 }
 
@@ -76,7 +77,7 @@ func (c WebhookConfig) withDefaults() WebhookConfig {
 		c.Timeout = 10 * time.Second
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		c.HTTPClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	if c.Retry == nil {
 		c.Retry = &RetryPolicy{}

@@ -115,7 +115,8 @@ func reqInfoFrom(ctx context.Context) *reqInfo {
 
 // statusWriter captures the response status for the request log. It
 // forwards Hijack so the chaos injector's connection resets still work
-// through it; a hijacked connection leaves status 0.
+// through it (a hijacked connection leaves status 0), and Flush so the
+// job event stream still streams through it.
 type statusWriter struct {
 	http.ResponseWriter
 	status   int
@@ -134,6 +135,12 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(p)
+}
+
+func (w *statusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 func (w *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
