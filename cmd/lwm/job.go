@@ -73,7 +73,7 @@ func cmdJobSubmit(args []string) error {
 			return fmt.Errorf("job submit: parsing %s: %w", *payload, err)
 		}
 	case *kind != "":
-		design, err := designSource(*in, *ref)
+		design, err := readDesignText(*in, *ref)
 		if err != nil {
 			return err
 		}

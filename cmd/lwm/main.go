@@ -4,17 +4,21 @@
 //	    write one of the built-in benchmark designs to a file
 //	lwm info -in design.cdfg
 //	    print design statistics (ops, critical path, laxity profile)
-//	lwm embed -in design.cdfg -sig <signature> [-n 2] [-tau 20] [-k 4]
-//	          [-epsilon 0.25] [-budget 0] -out marked.cdfg -record rec.json
-//	    embed scheduling watermarks; writes the constrained design and the
-//	    detection record
-//	lwm schedule -in marked.cdfg -out sched.txt [-budget 0]
+//	lwm embed [-family F] -in design.cdfg -sig <signature> [-n N] [-tau T]
+//	          [-k K] [-epsilon E] [-budget B] -out marked.cdfg
+//	          [-solution marked.sol] -record rec.json
+//	    embed watermarks; writes the marked design, the marked solution
+//	    (tmwm, gcolor) and the detection record
+//	lwm schedule -in marked.cdfg -out sched.txt
 //	    produce a schedule honoring the embedded temporal constraints
-//	lwm detect -in suspect.cdfg -schedule sched.txt -record rec.json
-//	    scan a suspect scheduled design for the recorded watermarks
-//	lwm verify -in suspect.cdfg -schedule sched.txt -sig <signature> ...
+//	lwm detect [-family F] -in suspect.cdfg -schedule sched.txt -record rec.json
+//	    scan a suspect design and its solution for the recorded watermarks
+//	lwm verify [-family F] -in suspect.cdfg -schedule sched.txt -sig <signature> ...
 //	    adjudicate an ownership claim by re-deriving the constraints from
 //	    the claimed signature (no record trusted)
+//	lwm families
+//	    list the watermark families (sched, tmwm, gcolor) with their
+//	    default mark parameters
 //	lwm synth -in design.cdfg [-budget N]
 //	    run the plain behavioral-synthesis pipeline and print the
 //	    allocation report (schedule, covering, modules, registers)
@@ -30,10 +34,13 @@
 //	lwm dot -in design.cdfg [-o out.dot]
 //	    render the design for Graphviz
 //
-// embed, detect, and verify also accept -remote <addr>: the work then
-// runs on a lwmd daemon through the resilient lwmclient (retries,
-// circuit breaker) with byte-identical printed output, so scripts can
-// switch between local and remote without changing their parsing.
+// A mark flag left at 0 (-n, -tau, -k, -epsilon, -budget) takes the
+// family's default, as lwm families lists it. embed, detect, and verify
+// run every family through one path (see mark.go), and also accept
+// -remote <addr>: the work then runs on a lwmd daemon through the
+// resilient lwmclient (retries, circuit breaker) with byte-identical
+// printed output, so scripts can switch between local and remote without
+// changing their parsing.
 //
 // Remote mode additionally supports the daemon's design registry:
 //
@@ -52,19 +59,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/obs"
-	"localwm/internal/prng"
 	"localwm/internal/sched"
-	"localwm/internal/schedwm"
 	"localwm/internal/tmatch"
 	"localwm/lwmapi"
 )
@@ -141,19 +143,6 @@ func flushTrace(ctx context.Context) {
 	}
 }
 
-// observeGraph mirrors the daemon's oracle bridge for local traced runs:
-// PathOracle recomputations on g appear as "oracle.<kind>" spans.
-func observeGraph(ctx context.Context, g *cdfg.Graph) {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return
-	}
-	parent := obs.CurrentSpan(ctx)
-	g.OnPathRecompute(func(kind string, start time.Time, elapsed time.Duration) {
-		tr.Record(parent, "oracle."+kind, start, elapsed)
-	})
-}
-
 // cmdSynth runs the full behavioral-synthesis pipeline on a design and
 // prints an allocation report: schedule, template covering, module and
 // register allocation, and functional-unit binding — the substrate the
@@ -219,72 +208,6 @@ func cmdSynth(args []string) error {
 	for name, count := range cover.Uses(lib) {
 		fmt.Printf("  %-8s x%d\n", name, count)
 	}
-	return nil
-}
-
-// cmdVerify adjudicates an ownership claim without trusting any record:
-// the marking derivation is re-run from the claimed signature and its
-// constraints checked against the suspect schedule. The embedding
-// parameters are public and must match the claimant's.
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	in := fs.String("in", "", "suspect design file")
-	schedPath := fs.String("schedule", "", "suspect schedule file")
-	sig := fs.String("sig", "", "claimed author signature")
-	n := fs.Int("n", 2, "number of local watermarks claimed")
-	tau := fs.Int("tau", 20, "subtree cardinality τ")
-	k := fs.Int("k", 4, "temporal edges per watermark K")
-	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
-	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	remote := fs.String("remote", "", "lwmd daemon address (empty: verify in-process)")
-	apiKeyFlag(fs)
-	ref := fs.String("ref", "", "design registry reference in place of -in (remote only; see lwm design put)")
-	fam := familyFlag(fs)
-	trace := fs.Bool("trace", false, "print the span tree (engine stages, oracle recomputes, remote attempts) to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkRefFlag(*ref, *remote); err != nil {
-		return err
-	}
-	ctx, finishTrace := traceCtx(*trace)
-	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyVerify(ctx, f, *remote, *in, *ref, *schedPath, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget))
-	}
-	if *remote != "" {
-		return remoteVerify(ctx, *remote, *in, *ref, *schedPath, *sig, *n, *tau, *k, *eps, *budget)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	s, err := parseSchedule(g, *schedPath)
-	if err != nil {
-		return err
-	}
-	if *budget == 0 {
-		cp, err := g.CriticalPath()
-		if err != nil {
-			return err
-		}
-		*budget = cp + cp/10 + 1
-	}
-	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
-	det, err := engine.VerifyOwnershipCtx(ctx, g, s, prng.Signature(*sig), cfg, *n)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("claim by %q: %d/%d re-derived constraints satisfied, Pc %v\n",
-		*sig, det.Best.Satisfied, det.Best.Total, det.Best.Pc)
-	if !det.Found {
-		fmt.Println("verdict: claim NOT verified")
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	fmt.Println("verdict: claim verified")
 	return nil
 }
 
@@ -418,98 +341,6 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-// recordFile is the JSON envelope for detection records. Family labels
-// the watermark family the records belong to; omitted for scheduling
-// records, so sched record files are byte-identical to what earlier
-// releases wrote (and the Record tail fields are omitempty for the same
-// reason).
-type recordFile struct {
-	Signature []byte          `json:"signature"`
-	Family    string          `json:"family,omitempty"`
-	Records   []lwmapi.Record `json:"records"`
-}
-
-func cmdEmbed(args []string) error {
-	fs := flag.NewFlagSet("embed", flag.ExitOnError)
-	in := fs.String("in", "", "design file")
-	sig := fs.String("sig", "", "author signature")
-	n := fs.Int("n", 2, "number of local watermarks")
-	tau := fs.Int("tau", 20, "subtree cardinality τ")
-	k := fs.Int("k", 4, "temporal edges per watermark K")
-	eps := fs.Float64("epsilon", 0.25, "laxity margin ε")
-	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	out := fs.String("out", "", "marked design output file")
-	solPath := fs.String("solution", "", "marked solution output file (tmwm: template cover; gcolor: coloring)")
-	recPath := fs.String("record", "", "detection record output file (JSON)")
-	remote := fs.String("remote", "", "lwmd daemon address (empty: embed in-process)")
-	apiKeyFlag(fs)
-	ref := fs.String("ref", "", "design registry reference in place of -in (remote only; see lwm design put)")
-	fam := familyFlag(fs)
-	trace := fs.Bool("trace", false, "print the span tree (engine stages, oracle recomputes, remote attempts) to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkRefFlag(*ref, *remote); err != nil {
-		return err
-	}
-	ctx, finishTrace := traceCtx(*trace)
-	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyEmbed(ctx, f, *remote, *in, *ref, *sig,
-			markParamsFrom(fs, n, tau, k, eps, budget), *out, *solPath, *recPath)
-	}
-	if *solPath != "" {
-		return fmt.Errorf("-solution only applies to -family tmwm or gcolor (scheduling watermarks live in the marked design)")
-	}
-	if *remote != "" {
-		return remoteEmbed(ctx, *remote, *in, *ref, *sig, *n, *tau, *k, *eps, *budget, *out, *recPath)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	if *budget == 0 {
-		cp, err := g.CriticalPath()
-		if err != nil {
-			return err
-		}
-		*budget = cp + cp/10 + 1
-	}
-	observeGraph(ctx, g)
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(*sig), cfg, *n)
-	if err != nil {
-		return err
-	}
-	rf := recordFile{Signature: []byte(*sig)}
-	edges := 0
-	for _, wm := range wms {
-		rf.Records = append(rf.Records, lwmapi.FromSchedRecord(wm.Record()))
-		edges += len(wm.Edges)
-	}
-	fmt.Printf("embedded %d watermarks, %d temporal edges\n", len(wms), edges)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := cdfg.Write(f, g); err != nil {
-			return err
-		}
-	}
-	if *recPath != "" {
-		data, err := json.MarshalIndent(rf, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*recPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func cmdSchedule(args []string) error {
 	fs := flag.NewFlagSet("schedule", flag.ExitOnError)
 	in := fs.String("in", "", "design file (may contain temporal edges)")
@@ -535,89 +366,4 @@ func cmdSchedule(args []string) error {
 		w = f
 	}
 	return sched.WriteSchedule(w, g, s)
-}
-
-// parseSchedule reads a schedule file in the text format shared with the
-// lwmd daemon (see sched.ParseSchedule).
-func parseSchedule(g *cdfg.Graph, path string) (*sched.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sched.ParseSchedule(g, f)
-}
-
-func cmdDetect(args []string) error {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	in := fs.String("in", "", "suspect design file")
-	schedPath := fs.String("schedule", "", "suspect schedule file")
-	recPath := fs.String("record", "", "detection record file (JSON)")
-	workers := fs.Int("workers", 1, "parallel detection workers (output is identical for any value)")
-	remote := fs.String("remote", "", "lwmd daemon address (empty: detect in-process)")
-	apiKeyFlag(fs)
-	ref := fs.String("ref", "", "design registry reference in place of -in (remote only; see lwm design put)")
-	fam := familyFlag(fs)
-	trace := fs.Bool("trace", false, "print the span tree (engine stages, oracle recomputes, remote attempts) to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkRefFlag(*ref, *remote); err != nil {
-		return err
-	}
-	ctx, finishTrace := traceCtx(*trace)
-	defer finishTrace()
-	if f := lwmapi.CanonicalFamily(*fam); f != lwmapi.FamilySched {
-		return familyDetect(ctx, f, *remote, *in, *ref, *schedPath, *recPath, *workers)
-	}
-	if *remote != "" {
-		return remoteDetect(ctx, *remote, *in, *ref, *schedPath, *recPath, *workers)
-	}
-	// The record file's family label is checked before the suspect parses:
-	// a family-labeled record file means the suspect artifacts are that
-	// family's formats, and "pass -family" beats a codec parse error.
-	data, err := os.ReadFile(*recPath)
-	if err != nil {
-		return err
-	}
-	var rf recordFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return err
-	}
-	if fam := lwmapi.CanonicalFamily(rf.Family); fam != lwmapi.FamilySched {
-		return fmt.Errorf("record file is for family %q; pass -family %s", rf.Family, rf.Family)
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
-	}
-	s, err := parseSchedule(g, *schedPath)
-	if err != nil {
-		return err
-	}
-	observeGraph(ctx, g)
-	// All records scan on the pool; the report below walks the results in
-	// record order, so the output matches a sequential scan byte for byte.
-	batch := engine.DetectBatchCtx(ctx, []engine.Suspect{{Graph: g, Schedule: s}}, lwmapi.SchedRecords(rf.Records), *workers)
-	found := 0
-	for i := range rf.Records {
-		det, err := batch[0][i].Det, batch[0][i].Err
-		if err != nil {
-			return err
-		}
-		if det.Found {
-			found++
-			fmt.Printf("watermark %d: FOUND at root %s (%d constraints, Pc %v)\n",
-				i, g.Node(det.Matches[0].Root).Name, det.Best.Total, det.Best.Pc)
-		} else {
-			fmt.Printf("watermark %d: not found (best %d/%d)\n",
-				i, det.Best.Satisfied, det.Best.Total)
-		}
-	}
-	fmt.Printf("%d of %d watermarks detected\n", found, len(rf.Records))
-	if found == 0 {
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	return nil
 }

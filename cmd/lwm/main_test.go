@@ -8,23 +8,31 @@ import (
 	"testing"
 
 	"localwm/internal/designs"
+	"localwm/internal/family"
 	"localwm/internal/prng"
+	"localwm/internal/sched"
 	"localwm/internal/schedwm"
 	"localwm/lwmapi"
 )
 
-func TestParseScheduleRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	g := designs.WaveletFilter()
-	path := filepath.Join(dir, "sched.txt")
-	content := "budget 20\nstep lo_m0 1\nstep lo_a1 3\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+// wavelet writes the Wavelet Filter design file a schedule parses against.
+func wavelet(t *testing.T, dir string) string {
+	t.Helper()
+	path := filepath.Join(dir, "w.cdfg")
+	if err := cmdGen([]string{"-design", "wavelet", "-o", path}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := parseSchedule(g, path)
+	return path
+}
+
+func TestParseScheduleRoundTrip(t *testing.T) {
+	m := markCmd{in: wavelet(t, t.TempDir())}
+	_, sp, err := m.loadSuspect(nil, []byte("budget 20\nstep lo_m0 1\nstep lo_a1 3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, _ := family.CDFG(sp.Design)
+	s := sp.Solution.(*sched.Schedule)
 	if s.Budget != 20 {
 		t.Fatalf("budget = %d", s.Budget)
 	}
@@ -34,17 +42,12 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 }
 
 func TestParseScheduleErrors(t *testing.T) {
-	dir := t.TempDir()
-	g := designs.WaveletFilter()
+	m := markCmd{in: wavelet(t, t.TempDir())}
 	for name, content := range map[string]string{
 		"unknown-node": "step nosuch 3\n",
 		"garbage":      "frobnicate\n",
 	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parseSchedule(g, path); err == nil {
+		if _, _, err := m.loadSuspect(nil, []byte(content)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -1,14 +1,15 @@
-// Remote mode: every marking subcommand (embed, detect, verify) accepts
-// -remote <addr> and then runs against a lwmd daemon through the
-// resilient lwmclient instead of the in-process engine. Outputs are
-// byte-identical to local runs — the daemon computes with the same
-// engine and the wire carries everything the reports print — so scripts
-// can switch between local and remote without changing their parsing.
+// Remote mode: the marking subcommands (embed, detect, verify), robust
+// and job accept -remote <addr> and then run against a lwmd daemon
+// through the resilient lwmclient instead of in-process. Outputs are
+// byte-identical to local runs — the daemon runs the same family
+// protocols and the wire carries everything the reports print — so
+// scripts can switch between local and remote without changing their
+// parsing. This file holds the client plumbing they share and the
+// remote-only design registry commands.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,10 +42,10 @@ func checkRefFlag(ref, remote string) error {
 	return nil
 }
 
-// designSource returns the inline design text and registry reference for
-// a marking request: with -ref the text stays empty (the daemon resolves
-// the reference), otherwise the design file is read as before.
-func designSource(in, ref string) (design string, err error) {
+// readDesignText loads the inline design text unless a registry
+// reference stands in for it (remote only, checked by checkRefFlag): the
+// daemon then resolves the reference and the text stays empty.
+func readDesignText(in, ref string) (string, error) {
 	if ref != "" {
 		return "", nil
 	}
@@ -137,141 +138,4 @@ func cmdDesignGet(args []string) error {
 		return nil
 	}
 	return os.WriteFile(*out, []byte(resp.Design), 0o644)
-}
-
-// remoteEmbed mirrors cmdEmbed against a daemon: same flags, same
-// printed line, same output files (marked design + detection record).
-// A trace on ctx (lwm embed -trace -remote ...) collects the client's
-// call/attempt spans with server-side stage timings as attributes.
-func remoteEmbed(ctx context.Context, addr, in, ref, sig string, n, tau, k int, eps float64, budget int, out, recPath string) error {
-	c, err := newRemoteClient(addr)
-	if err != nil {
-		return err
-	}
-	design, err := designSource(in, ref)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Embed(ctx, lwmclient.EmbedRequest{
-		Design:    design,
-		DesignRef: ref,
-		Signature: sig,
-		MarkParams: lwmclient.MarkParams{
-			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("embedded %d watermarks, %d temporal edges\n", resp.Watermarks, resp.TemporalEdges)
-	if out != "" {
-		if err := os.WriteFile(out, []byte(resp.MarkedDesign), 0o644); err != nil {
-			return err
-		}
-	}
-	if recPath != "" {
-		rf := recordFile{Signature: []byte(sig), Records: resp.Records}
-		data, err := json.MarshalIndent(rf, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(recPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remoteDetect mirrors cmdDetect against a daemon: identical per-record
-// report lines and the same exit-3-on-zero-detections contract.
-func remoteDetect(ctx context.Context, addr, in, ref, schedPath, recPath string, workers int) error {
-	c, err := newRemoteClient(addr)
-	if err != nil {
-		return err
-	}
-	design, err := designSource(in, ref)
-	if err != nil {
-		return err
-	}
-	schedule, err := os.ReadFile(schedPath)
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(recPath)
-	if err != nil {
-		return err
-	}
-	var rf recordFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return err
-	}
-	res, err := c.Detect(ctx, lwmclient.DetectRequest{
-		Suspects: []lwmclient.Suspect{{Design: design, DesignRef: ref, Schedule: string(schedule)}},
-		Records:  rf.Records,
-		Workers:  workers,
-	})
-	if err != nil {
-		return err
-	}
-	if !res.Complete() {
-		return res.Failed[0]
-	}
-	found := 0
-	for i, out := range res.Results[0] {
-		if out.Error != "" {
-			return fmt.Errorf("%s", out.Error)
-		}
-		if out.Found {
-			found++
-			fmt.Printf("watermark %d: FOUND at root %s (%d constraints, Pc %s)\n",
-				i, out.Root, out.Total, out.Pc)
-		} else {
-			fmt.Printf("watermark %d: not found (best %d/%d)\n",
-				i, out.Satisfied, out.Total)
-		}
-	}
-	fmt.Printf("%d of %d watermarks detected\n", found, len(rf.Records))
-	if found == 0 {
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	return nil
-}
-
-// remoteVerify mirrors cmdVerify against a daemon: same claim report and
-// the same exit-3-on-unverified contract.
-func remoteVerify(ctx context.Context, addr, in, ref, schedPath, sig string, n, tau, k int, eps float64, budget int) error {
-	c, err := newRemoteClient(addr)
-	if err != nil {
-		return err
-	}
-	design, err := designSource(in, ref)
-	if err != nil {
-		return err
-	}
-	schedule, err := os.ReadFile(schedPath)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Verify(ctx, lwmclient.VerifyRequest{
-		Design:    design,
-		DesignRef: ref,
-		Schedule:  string(schedule),
-		Signature: sig,
-		MarkParams: lwmclient.MarkParams{
-			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("claim by %q: %d/%d re-derived constraints satisfied, Pc %s\n",
-		sig, resp.Satisfied, resp.Total, resp.Pc)
-	if !resp.Verified {
-		fmt.Println("verdict: claim NOT verified")
-		flushTrace(ctx)
-		os.Exit(3)
-	}
-	fmt.Println("verdict: claim verified")
-	return nil
 }

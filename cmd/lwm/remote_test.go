@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -206,7 +205,8 @@ func TestRemoteModeSurfacesServiceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty signature is a 400 from the daemon.
-	err := remoteEmbed(context.Background(), ts.URL, design, "", "", 2, 16, 3, 0.4, 0, "", "")
+	err := cmdEmbed([]string{"-in", design, "-sig", "", "-n", "2", "-tau", "16", "-k", "3",
+		"-epsilon", "0.4", "-remote", ts.URL})
 	if err == nil {
 		t.Fatal("empty signature accepted")
 	}

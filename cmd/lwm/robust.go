@@ -23,9 +23,9 @@ import (
 	"os"
 	"time"
 
+	"localwm/internal/family"
 	"localwm/internal/prng"
 	"localwm/internal/robust"
-	"localwm/internal/schedwm"
 	"localwm/lwmapi"
 	"localwm/lwmclient"
 )
@@ -37,12 +37,8 @@ func cmdRobust(args []string) error {
 	sig := fs.String("sig", "", "owner signature the watermarks derive from")
 	seed := fs.String("seed", "", "campaign seed keying every attack's randomness")
 	batteryPath := fs.String("battery", "", "battery spec file (BatterySpec JSON; default battery when empty)")
-	n := fs.Int("n", 2, "watermarks to embed")
-	tau := fs.Int("tau", 20, "constraints per watermark")
-	k := fs.Int("k", 4, "locality radius")
-	eps := fs.Float64("epsilon", 0.25, "laxity fraction")
-	budget := fs.Int("budget", 0, "control-step budget (0: critical path + 10%)")
-	workers := fs.Int("workers", 0, "campaign parallelism (0: sequential)")
+	params := markFlags(fs)
+	fs.IntVar(&params.Workers, "workers", 0, "campaign parallelism (0: sequential)")
 	out := fs.String("o", "", "report file (default stdout)")
 	remote := fs.String("remote", "", "lwmd daemon address (empty: run the campaign in-process)")
 	apiKeyFlag(fs)
@@ -73,30 +69,28 @@ func cmdRobust(args []string) error {
 
 	if *remote != "" {
 		return remoteRobust(ctx, *remote, *in, *ref, *sig, *seed, battery,
-			*n, *tau, *k, *eps, *budget, *workers, *async, *wait, *timeout, *out)
+			*params, *async, *wait, *timeout, *out)
 	}
 
 	// Local mode: the same normalize → prepare → run pipeline the daemon
-	// executes, with the daemon's parameter defaults, so the printed
-	// envelope is byte-identical to a daemon's answer for this request.
+	// executes, with the daemon's parameter defaults and budget (see
+	// runRobustReport in internal/server), so the printed envelope is
+	// byte-identical to a daemon's answer for this request.
 	battery, err = robust.Normalize(battery)
 	if err != nil {
 		return fmt.Errorf("robust: battery: %v", err)
 	}
-	g, err := loadGraph(*in)
+	// Attack batteries exist for the scheduling family only.
+	_, d, err := loadDesign(lwmapi.FamilySched, *in, params)
 	if err != nil {
 		return err
 	}
-	observeGraph(ctx, g)
-	if *budget == 0 {
-		cp, err := g.CriticalPath()
-		if err != nil {
-			return err
-		}
-		*budget = cp + cp/10 + 1
+	g, _ := family.CDFG(d)
+	cfg, err := family.SchedConfig(g, *params, 1)
+	if err != nil {
+		return fmt.Errorf("robust: %v", err)
 	}
-	cfg := schedwm.Config{Tau: *tau, K: *k, Epsilon: *eps, Budget: *budget}
-	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, *n)
+	base, err := robust.Prepare(ctx, g, prng.Signature(*sig), cfg, params.N)
 	if err != nil {
 		return fmt.Errorf("robust: embedding: %v", err)
 	}
@@ -104,7 +98,7 @@ func cmdRobust(args []string) error {
 		Baseline: base,
 		Seed:     *seed,
 		Battery:  battery,
-		Workers:  *workers,
+		Workers:  params.Workers,
 	})
 	if err != nil {
 		return fmt.Errorf("robust: campaign: %v", err)
@@ -155,25 +149,23 @@ func writeReport(path string, v any) error {
 // result bytes (-wait, the default) or prints the job ID alone on
 // stdout so scripts can collect it later.
 func remoteRobust(ctx context.Context, addr, in, ref, sig, seed string, battery lwmapi.BatterySpec,
-	n, tau, k int, eps float64, budget, workers int, async, wait bool, timeout time.Duration, out string) error {
+	params lwmapi.MarkParams, async, wait bool, timeout time.Duration, out string) error {
 	c, err := newRemoteClient(addr)
 	if err != nil {
 		return err
 	}
-	design, err := designSource(in, ref)
+	design, err := readDesignText(in, ref)
 	if err != nil {
 		return err
 	}
 	resp, err := c.RunCampaign(ctx, lwmclient.RobustnessRequest{
-		Design:    design,
-		DesignRef: ref,
-		Signature: sig,
-		MarkParams: lwmclient.MarkParams{
-			N: n, Tau: tau, K: k, Epsilon: eps, Budget: budget, Workers: workers,
-		},
-		Seed:    seed,
-		Battery: battery,
-		Async:   async,
+		Design:     design,
+		DesignRef:  ref,
+		Signature:  sig,
+		MarkParams: params,
+		Seed:       seed,
+		Battery:    battery,
+		Async:      async,
 	})
 	if err != nil {
 		return err

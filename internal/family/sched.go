@@ -117,11 +117,13 @@ func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Confi
 
 func (schedFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.EmbedResponse, error) {
 	g := d.(*cdfgDesign).g
+	// Observe first: the budget's critical path is the first oracle
+	// recompute, and the trace shows it.
+	ObserveGraph(ctx, g)
 	cfg, err := SchedConfig(g, p, workers)
 	if err != nil {
 		return nil, err
 	}
-	ObserveGraph(ctx, g)
 	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N)
 	if err != nil {
 		return nil, fmt.Errorf("embedding: %v", err)
@@ -177,12 +179,12 @@ func (schedFamily) Detect(ctx context.Context, suspects []Suspect, records []lwm
 
 func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {
 	g := sp.Design.(*cdfgDesign).g
+	if !sp.Shared {
+		ObserveGraph(ctx, g)
+	}
 	cfg, err := SchedConfig(g, p, workers)
 	if err != nil {
 		return nil, err
-	}
-	if !sp.Shared {
-		ObserveGraph(ctx, g)
 	}
 	det, err := engine.VerifyOwnershipCtx(ctx, g, sp.Solution.(*sched.Schedule),
 		prng.Signature(sig), cfg, p.N)

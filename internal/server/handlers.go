@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"localwm/internal/engine"
 	"localwm/internal/family"
 	"localwm/internal/store"
 	"localwm/lwmapi"
@@ -180,37 +179,6 @@ func (s *Server) embedWith(ctx context.Context, proto family.Protocol, req *lwma
 		return nil, badRequest("%v", err)
 	}
 	return resp, nil
-}
-
-// buildDetectResponse shapes an engine.DetectBatch result grid for the
-// wire — the scheduling family's shaping, kept here so tests can feed it
-// a sequentially computed grid and compare bytes against the daemon's
-// concurrent answer.
-func buildDetectResponse(suspects []engine.Suspect, batch [][]engine.DetectResult) *lwmapi.DetectResponse {
-	resp := &lwmapi.DetectResponse{Results: make([][]lwmapi.DetectOutcome, len(batch))}
-	for i, row := range batch {
-		resp.Results[i] = make([]lwmapi.DetectOutcome, len(row))
-		for j, res := range row {
-			out := &resp.Results[i][j]
-			if res.Err != nil {
-				out.Error = res.Err.Error()
-				continue
-			}
-			det := res.Det
-			out.Found = det.Found
-			out.Satisfied = det.Best.Satisfied
-			out.Total = det.Best.Total
-			out.Pc = det.Best.Pc.String()
-			out.RootsTried = det.RootsTried
-			if det.Found {
-				resp.Detected++
-				if len(det.Matches) > 0 {
-					out.Root = suspects[i].Graph.Node(det.Matches[0].Root).Name
-				}
-			}
-		}
-	}
-	return resp
 }
 
 func (s *Server) handleDetect(r *http.Request) (any, error) {

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"localwm/internal/chaos"
-	"localwm/internal/engine"
+	"localwm/internal/family"
 	"localwm/internal/jobs"
 	"localwm/lwmapi"
 	"localwm/lwmclient"
@@ -35,13 +35,28 @@ func detectJobBody(t *testing.T, fx *fixture, idemKey string) ([]byte, lwmapi.De
 	return body, dreq
 }
 
-// detectReference computes the sequential CLI-path detect response,
-// encoded exactly as the server encodes — the byte-identity oracle.
+// detectReference computes the fixture's detect response through the
+// sched protocol on one worker, as lwm detect does in-process, encoded
+// exactly as the server encodes — the byte-identity oracle.
 func detectReference(t *testing.T, fx *fixture) []byte {
 	t.Helper()
-	suspects := []engine.Suspect{{Graph: fx.graph, Schedule: fx.schedule}}
-	seq := engine.DetectBatch(suspects, lwmapi.SchedRecords(fx.records), 1)
-	return encodeLikeServer(t, buildDetectResponse(suspects, seq))
+	proto, err := family.Lookup("sched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := proto.ParseDesign(fx.designText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := proto.ParseSolution(d, fx.scheduleText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := proto.Detect(context.Background(), []family.Suspect{{Design: d, Solution: sol}}, fx.records, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeLikeServer(t, resp)
 }
 
 func getBody(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {

@@ -14,7 +14,6 @@ import (
 
 	"localwm/internal/cdfg"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
 	"localwm/lwmapi"
@@ -27,8 +26,6 @@ type fixture struct {
 	designText   string
 	scheduleText string
 	records      []lwmapi.Record
-	graph        *cdfg.Graph
-	schedule     *sched.Schedule
 }
 
 func makeFixture(t *testing.T, sig string) *fixture {
@@ -59,16 +56,6 @@ func makeFixture(t *testing.T, sig string) *fixture {
 	fx := &fixture{designText: orig.String(), scheduleText: schedText.String()}
 	for _, wm := range wms {
 		fx.records = append(fx.records, lwmapi.FromSchedRecord(wm.Record()))
-	}
-	// Re-parse exactly what the daemon will parse, for the sequential
-	// reference computation.
-	fx.graph, err = cdfg.Parse(strings.NewReader(fx.designText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx.schedule, err = sched.ParseSchedule(fx.graph, strings.NewReader(fx.scheduleText))
-	if err != nil {
-		t.Fatal(err)
 	}
 	return fx
 }
@@ -119,11 +106,9 @@ func TestDaemonDetectConcurrentByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential reference: engine.DetectBatch with workers=1 is the loop
-	// the CLI runs, shaped through the same response builder and encoder.
-	suspects := []engine.Suspect{{Graph: fx.graph, Schedule: fx.schedule}}
-	seq := engine.DetectBatch(suspects, lwmapi.SchedRecords(fx.records), 1)
-	want := encodeLikeServer(t, buildDetectResponse(suspects, seq))
+	// Sequential reference: the sched protocol on one worker, as the CLI
+	// runs it in-process.
+	want := detectReference(t, fx)
 
 	const concurrent = 8
 	bodies := make([][]byte, concurrent)
