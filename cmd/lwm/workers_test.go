@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,36 +9,38 @@ import (
 	"testing"
 )
 
-// captureStdout runs f with os.Stdout redirected into a pipe and returns
-// what it printed. The subcommands report to stdout, so comparing these
-// strings across -workers values checks the full CLI surface, not just
-// the artifacts.
-func captureStdout(t *testing.T, f func() error) string {
+// capture runs f with *stream (os.Stdout or os.Stderr) redirected into
+// a pipe and returns what f printed there.
+func capture(t *testing.T, stream **os.File, f func()) string {
 	t.Helper()
-	old := os.Stdout
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*stream = w
 	done := make(chan string, 1)
 	go func() {
-		buf := make([]byte, 0, 4096)
-		tmp := make([]byte, 4096)
-		for {
-			n, err := r.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		done <- string(buf)
+		var buf bytes.Buffer
+		buf.ReadFrom(r)
+		done <- buf.String()
 	}()
-	ferr := f()
+	f()
 	w.Close()
-	os.Stdout = old
+	*stream = old
 	out := <-done
 	r.Close()
+	return out
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed, failing the test if f does. The subcommands report to
+// stdout, so comparing these strings across -workers values checks the
+// full CLI surface, not just the artifacts.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	var ferr error
+	out := capture(t, &os.Stdout, func() { ferr = f() })
 	if ferr != nil {
 		t.Fatalf("command failed: %v\noutput: %s", ferr, out)
 	}
