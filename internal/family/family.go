@@ -1,14 +1,16 @@
 // Package family is the protocol seam that turns the daemon into the
 // paper's actual abstraction: one embed/detect/verify lifecycle
 // instantiated per synthesis task. A Protocol adapts one watermark
-// family — scheduling (internal/schedwm + internal/engine),
-// template matching (internal/tmwm + internal/tmatch), graph coloring
-// (internal/gcolor) — to a family-neutral surface over the lwmapi wire
-// types: parse a family-typed design from its canonical text, normalize
-// parameters, embed, parse a suspect solution, detect, verify.
+// family — scheduling (internal/schedwm), template matching
+// (internal/tmwm + internal/tmatch), graph coloring (internal/gcolor) —
+// to a family-neutral surface over the lwmapi wire types: parse a
+// family-typed design from its canonical text, normalize parameters,
+// embed, parse a suspect solution, detect, verify. Every family's Detect
+// runs one loop (fanout.go) that fans the suspect×record grid out on the
+// worker pool, RunPool; a family supplies only its per-pair scan.
 //
 // internal/server dispatches every /v1 request through the registry here
-// instead of calling the scheduling engine directly; internal/store uses
+// instead of calling a family's package directly; internal/store uses
 // the same codecs to canonicalize and parse registered designs; cmd/lwm
 // drives the identical Protocol methods for its offline mode, which is
 // what makes local CLI output byte-identical to daemon answers for every
@@ -85,9 +87,9 @@ type Protocol interface {
 	// sequential in every family; workers is ignored.
 	Embed(ctx context.Context, d Design, sig string, params lwmapi.MarkParams, workers int) (*lwmapi.EmbedResponse, error)
 	// Detect scans every record in every suspect, fanning the
-	// suspect×record pairs out on up to workers goroutines where the
-	// family supports it. Per-pair failures land in the outcome's Error
-	// field; only request-level failures error.
+	// suspect×record pairs out on up to workers goroutines. Per-pair
+	// failures land in the outcome's Error field; only request-level
+	// failures error.
 	Detect(ctx context.Context, suspects []Suspect, records []lwmapi.Record, workers int) (*lwmapi.DetectResponse, error)
 	// Verify adjudicates an ownership claim by re-deriving params.N
 	// watermarks from sig and checking them against the suspect. Like

@@ -93,30 +93,25 @@ func (gcolorFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.Ma
 }
 
 func (gcolorFamily) Detect(ctx context.Context, suspects []Suspect, records []lwmapi.Record, workers int) (*lwmapi.DetectResponse, error) {
-	resp := &lwmapi.DetectResponse{Results: make([][]lwmapi.DetectOutcome, len(suspects))}
-	for i, sp := range suspects {
-		g := sp.Design.(*gcolorDesign).g
-		col := sp.Solution.(gcolor.Coloring)
-		resp.Results[i] = make([]lwmapi.DetectOutcome, len(records))
-		for j, rec := range records {
-			out := &resp.Results[i][j]
-			det, err := gcolor.Detect(g, col, rec.Gcolor())
-			if err != nil {
-				out.Error = err.Error()
-				continue
-			}
-			out.Found = det.Found
-			out.Satisfied = det.Separated
-			out.Total = det.Total
-			out.Pc = det.Pc.String()
-			out.RootsTried = det.RootsTried
-			if det.Found {
-				resp.Detected++
-				out.Root = strconv.Itoa(det.Root)
-			}
-		}
+	return detect(ctx, suspects, records, workers, gcolorScan), nil
+}
+
+// gcolorScan scans one suspect coloring for one graph-coloring record.
+func gcolorScan(sp Suspect, rec lwmapi.Record) (out lwmapi.DetectOutcome) {
+	det, err := gcolor.Detect(sp.Design.(*gcolorDesign).g, sp.Solution.(gcolor.Coloring), rec.Gcolor())
+	if err != nil {
+		out.Error = err.Error()
+		return out
 	}
-	return resp, nil
+	out.Found = det.Found
+	out.Satisfied = det.Separated
+	out.Total = det.Total
+	out.Pc = det.Pc.String()
+	out.RootsTried = det.RootsTried
+	if det.Found {
+		out.Root = strconv.Itoa(det.Root)
+	}
+	return out
 }
 
 func (gcolorFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {

@@ -7,16 +7,15 @@ import (
 	"strings"
 
 	"localwm/internal/cdfg"
-	"localwm/internal/engine"
+	"localwm/internal/obs"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
 	"localwm/lwmapi"
 )
 
-// schedFamily adapts internal/schedwm + internal/engine: temporal-edge
-// watermarks on operation schedules, the family the daemon originally
-// served. Its responses are byte-identical to the pre-family daemon's —
+// schedFamily adapts internal/schedwm: temporal-edge watermarks on
+// operation schedules, the family the daemon originally served. Its responses are byte-identical to the pre-family daemon's —
 // every error string and every outcome field below is lifted verbatim
 // from the old internal/server handlers.
 type schedFamily struct{}
@@ -95,8 +94,8 @@ func (schedFamily) ParseSolution(d Design, text string) (Solution, error) {
 
 // SchedConfig builds the schedwm.Config for p against g, defaulting the
 // budget exactly like the CLI (critical path + 10% + 1). Exported for
-// the robustness campaign path, which re-embeds through the scheduling
-// engine directly. The critical path comes from g's PathOracle, where
+// the robustness campaign path, which re-embeds through schedwm
+// directly. The critical path comes from g's PathOracle, where
 // schedwm.Prepare finds it again. workers does not reach the config:
 // embedding runs sequentially at every worker count.
 func SchedConfig(g *cdfg.Graph, p lwmapi.MarkParams, workers int) (schedwm.Config, error) {
@@ -124,7 +123,10 @@ func (schedFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.Mar
 	if err != nil {
 		return nil, err
 	}
-	wms, err := engine.EmbedManyCtx(ctx, g, prng.Signature(sig), cfg, p.N)
+	_, span := obs.StartSpan(ctx, "engine.embed")
+	span.SetAttr("n", p.N)
+	wms, err := schedwm.EmbedMany(g, prng.Signature(sig), cfg, p.N)
+	span.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("embedding: %v", err)
 	}
@@ -142,39 +144,26 @@ func (schedFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.Mar
 }
 
 func (schedFamily) Detect(ctx context.Context, suspects []Suspect, records []lwmapi.Record, workers int) (*lwmapi.DetectResponse, error) {
-	es := make([]engine.Suspect, len(suspects))
-	for i, sp := range suspects {
-		g := sp.Design.(*cdfgDesign).g
-		if !sp.Shared {
-			ObserveGraph(ctx, g)
-		}
-		es[i] = engine.Suspect{Graph: g, Schedule: sp.Solution.(*sched.Schedule)}
+	return detect(ctx, suspects, records, workers, schedScan), nil
+}
+
+// schedScan scans one suspect schedule for one scheduling record.
+func schedScan(sp Suspect, rec lwmapi.Record) (out lwmapi.DetectOutcome) {
+	g := sp.Design.(*cdfgDesign).g
+	det, err := schedwm.Detect(g, sp.Solution.(*sched.Schedule), rec.Sched())
+	if err != nil {
+		out.Error = err.Error()
+		return out
 	}
-	batch := engine.DetectBatchCtx(ctx, es, lwmapi.SchedRecords(records), workers)
-	resp := &lwmapi.DetectResponse{Results: make([][]lwmapi.DetectOutcome, len(batch))}
-	for i, row := range batch {
-		resp.Results[i] = make([]lwmapi.DetectOutcome, len(row))
-		for j, res := range row {
-			out := &resp.Results[i][j]
-			if res.Err != nil {
-				out.Error = res.Err.Error()
-				continue
-			}
-			det := res.Det
-			out.Found = det.Found
-			out.Satisfied = det.Best.Satisfied
-			out.Total = det.Best.Total
-			out.Pc = det.Best.Pc.String()
-			out.RootsTried = det.RootsTried
-			if det.Found {
-				resp.Detected++
-				if len(det.Matches) > 0 {
-					out.Root = es[i].Graph.Node(det.Matches[0].Root).Name
-				}
-			}
-		}
+	out.Found = det.Found
+	out.Satisfied = det.Best.Satisfied
+	out.Total = det.Best.Total
+	out.Pc = det.Best.Pc.String()
+	out.RootsTried = det.RootsTried
+	if det.Found && len(det.Matches) > 0 {
+		out.Root = g.Node(det.Matches[0].Root).Name
 	}
-	return resp, nil
+	return out
 }
 
 func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {
@@ -186,8 +175,9 @@ func (schedFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.
 	if err != nil {
 		return nil, err
 	}
-	det, err := engine.VerifyOwnershipCtx(ctx, g, sp.Solution.(*sched.Schedule),
-		prng.Signature(sig), cfg, p.N)
+	_, span := obs.StartSpan(ctx, "engine.verify")
+	det, err := schedwm.VerifyOwnership(g, sp.Solution.(*sched.Schedule), prng.Signature(sig), cfg, p.N)
+	span.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("verifying: %v", err)
 	}

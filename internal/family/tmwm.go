@@ -107,35 +107,23 @@ func (tmwmFamily) Embed(ctx context.Context, d Design, sig string, p lwmapi.Mark
 
 func (tmwmFamily) Detect(ctx context.Context, suspects []Suspect, records []lwmapi.Record, workers int) (*lwmapi.DetectResponse, error) {
 	lib := tmatch.StandardLibrary()
-	resp := &lwmapi.DetectResponse{Results: make([][]lwmapi.DetectOutcome, len(suspects))}
-	for i, sp := range suspects {
+	return detect(ctx, suspects, records, workers, func(sp Suspect, rec lwmapi.Record) (out lwmapi.DetectOutcome) {
 		g := sp.Design.(*cdfgDesign).g
-		if !sp.Shared {
-			ObserveGraph(ctx, g)
+		det, err := tmwm.Detect(g, lib, sp.Solution.(*tmatch.Cover), rec.Tmwm())
+		if err != nil {
+			out.Error = err.Error()
+			return out
 		}
-		cover := sp.Solution.(*tmatch.Cover)
-		resp.Results[i] = make([]lwmapi.DetectOutcome, len(records))
-		for j, rec := range records {
-			out := &resp.Results[i][j]
-			det, err := tmwm.Detect(g, lib, cover, rec.Tmwm())
-			if err != nil {
-				out.Error = err.Error()
-				continue
-			}
-			out.Found = det.Found
-			out.Satisfied = det.Matched
-			out.Total = det.Total
-			out.Pc = det.Pc.String()
-			out.RootsTried = det.RootsTried
-			if det.Found {
-				resp.Detected++
-				if det.Root != cdfg.None {
-					out.Root = g.Node(det.Root).Name
-				}
-			}
+		out.Found = det.Found
+		out.Satisfied = det.Matched
+		out.Total = det.Total
+		out.Pc = det.Pc.String()
+		out.RootsTried = det.RootsTried
+		if det.Found && det.Root != cdfg.None {
+			out.Root = g.Node(det.Root).Name
 		}
-	}
-	return resp, nil
+		return out
+	}), nil
 }
 
 func (tmwmFamily) Verify(ctx context.Context, sp Suspect, sig string, p lwmapi.MarkParams, workers int) (*lwmapi.VerifyResponse, error) {

@@ -9,7 +9,7 @@
 //
 // Determinism is the package's contract: every attack unit draws its
 // randomness from a bitstream keyed by seed|family|intensity|trial, the
-// unit grid is executed on the engine's worker pool (engine.RunPool) into
+// unit grid is executed on the shared worker pool (family.RunPool) into
 // a position-indexed slice, and aggregation walks that slice in battery
 // order — so the same campaign produces a byte-identical report at any
 // worker count, on the synchronous server path, through the async job
@@ -24,7 +24,8 @@ import (
 
 	"localwm/internal/attack"
 	"localwm/internal/cdfg"
-	"localwm/internal/engine"
+	"localwm/internal/family"
+	"localwm/internal/obs"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
 	"localwm/internal/schedwm"
@@ -186,7 +187,10 @@ type Baseline struct {
 func Prepare(ctx context.Context, g *cdfg.Graph, sig prng.Signature, cfg schedwm.Config, n int) (*Baseline, error) {
 	marked := g.Clone()
 	marked.ClearTemporalEdges()
-	wms, err := engine.EmbedManyCtx(ctx, marked, sig, cfg, n)
+	_, span := obs.StartSpan(ctx, "engine.embed")
+	span.SetAttr("n", n)
+	wms, err := schedwm.EmbedMany(marked, sig, cfg, n)
+	span.Finish()
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +280,7 @@ func Run(ctx context.Context, c *Campaign) (*lwmapi.RobustnessReport, error) {
 		}
 	}
 	outcomes := make([]outcome, len(grid))
-	engine.RunPool(c.Workers, len(grid), func(i int) {
+	family.RunPool(c.Workers, len(grid), func(i int) {
 		if ctx.Err() == nil {
 			outcomes[i] = runUnit(base, c.Seed, c.Battery.Alpha, grid[i])
 		}

@@ -18,7 +18,7 @@ import (
 // holds the server-side semantics: family dispatch, validation, design
 // resolution (inline text vs registry reference), and the protocol
 // calls. The per-family lifecycle — parameter defaulting, codec choice,
-// and the engine calls themselves — lives in internal/family; every
+// and the watermarking calls themselves — lives in internal/family; every
 // compute endpoint resolves the request's family field ("" means the
 // scheduling family) and routes through that protocol, so the server
 // never names a family-specific engine.
@@ -116,7 +116,7 @@ func (s *Server) resolveSuspect(ctx context.Context, proto family.Protocol, fiel
 
 // engineWorkers resolves a request's fan-out width (detect batches and
 // campaign grids): the server default when unset, clamped to the
-// configured maximum, and floored at 1 (engine.RunPool treats <=1 as
+// configured maximum, and floored at 1 (family.RunPool treats <=1 as
 // sequential anyway).
 func (s *Server) engineWorkers(requested int) int {
 	w := requested

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"localwm/internal/cdfg"
-	"localwm/internal/engine"
 	"localwm/internal/family"
 	"localwm/internal/jobs"
 	"localwm/internal/obs"
@@ -258,9 +257,9 @@ func (s *Server) buildRegistry() *obs.Registry {
 		load       func() uint64
 	}{
 		{"lwmd_engine_pool_runs_total", "Worker-pool fan-outs (detect batches, robustness grids) started (process-wide).",
-			func() uint64 { return engine.Stats().PoolRuns }},
+			func() uint64 { return family.PoolStats().PoolRuns }},
 		{"lwmd_engine_pool_jobs_total", "Jobs executed across all engine fan-outs (process-wide).",
-			func() uint64 { return engine.Stats().PoolJobs }},
+			func() uint64 { return family.PoolStats().PoolJobs }},
 		{"lwmd_oracle_hits_total", "PathOracle longest-path cache hits (process-wide).",
 			func() uint64 { h, _ := cdfg.OracleStats(); return h }},
 		{"lwmd_oracle_misses_total", "PathOracle lookups that recomputed longest paths (process-wide).",

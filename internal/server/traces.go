@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"localwm/internal/cdfg"
-	"localwm/internal/engine"
+	"localwm/internal/family"
 	"localwm/internal/obs"
 	"localwm/internal/obs/recorder"
 	"localwm/lwmapi"
@@ -38,7 +38,7 @@ type engineSnapshot struct {
 }
 
 func takeEngineSnapshot() engineSnapshot {
-	es := engine.Stats()
+	es := family.PoolStats()
 	h, m := cdfg.OracleStats()
 	return engineSnapshot{
 		poolRuns: es.PoolRuns, poolJobs: es.PoolJobs,

@@ -35,7 +35,6 @@ import (
 	"localwm/internal/cdfg"
 	"localwm/internal/chaos"
 	"localwm/internal/designs"
-	"localwm/internal/engine"
 	"localwm/internal/obs"
 	"localwm/internal/prng"
 	"localwm/internal/sched"
@@ -72,12 +71,6 @@ type (
 	SchedulingRecord = schedwm.Record
 	// SchedulingDetection is the result of scanning a suspect schedule.
 	SchedulingDetection = schedwm.Detection
-	// SchedulingSuspect pairs a suspect design with its schedule for
-	// batch detection.
-	SchedulingSuspect = engine.Suspect
-	// SchedulingDetectResult is one suspect×record outcome of a batch
-	// detection.
-	SchedulingDetectResult = engine.DetectResult
 )
 
 // Template-matching types.
@@ -137,14 +130,6 @@ func VerifySchedulingOwnership(g *Graph, s *ScheduleResult, sig Signature, cfg S
 	return schedwm.VerifyOwnership(g, s, sig, cfg, n)
 }
 
-// DetectSchedulingWatermarks checks many records against many suspect
-// designs at once on cfg-independent worker fan-out: out[i][j] is record j
-// scanned in suspect i. It wraps engine.DetectBatch; workers <= 1 runs
-// sequentially with identical results.
-func DetectSchedulingWatermarks(suspects []SchedulingSuspect, recs []SchedulingRecord, workers int) [][]SchedulingDetectResult {
-	return engine.DetectBatch(suspects, recs, workers)
-}
-
 // EmbedTemplateWatermark enforces Z signature-selected matchings on g.
 func EmbedTemplateWatermark(g *Graph, sig Signature, cfg TemplateConfig) (*TemplateWatermark, error) {
 	return tmwm.Embed(g, sig, cfg)
@@ -192,9 +177,6 @@ type (
 	// serving port, DebugHandler() on a loopback-only port, and call
 	// Shutdown to drain gracefully.
 	Service = server.Server
-	// EngineCounters is a snapshot of the engine's cumulative worker-pool
-	// activity.
-	EngineCounters = engine.Counters
 )
 
 // NewService builds a watermarking service and starts its worker pools.
@@ -236,9 +218,6 @@ type (
 // NewChaosInjector builds a deterministic fault injector; a given seed
 // and request order replays the same fault sequence.
 func NewChaosInjector(cfg ChaosConfig) *ChaosInjector { return chaos.New(cfg) }
-
-// EngineStats returns the process-wide engine worker-pool counters.
-func EngineStats() EngineCounters { return engine.Stats() }
 
 // OracleStats reports cumulative longest-path cache hits and misses
 // across every cdfg.PathOracle in the process.

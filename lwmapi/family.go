@@ -5,7 +5,7 @@ package lwmapi
 // payloads keep their meaning.
 const (
 	// FamilySched: temporal-edge watermarks on operation schedules
-	// (internal/schedwm + internal/engine; paper §IV-A).
+	// (internal/schedwm; paper §IV-A).
 	FamilySched = "sched"
 	// FamilyTmwm: enforced template matchings and pseudo-primary outputs
 	// on datapath covers (internal/tmwm + internal/tmatch; paper §IV-B).

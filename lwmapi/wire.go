@@ -113,15 +113,6 @@ func FromGcolorRecord(rec gcolor.Record) Record {
 	return Record{Signature: rec.Signature, Tau: rec.Tau, RankPairs: rec.RankPairs}
 }
 
-// SchedRecords projects a record slice onto the scheduling family.
-func SchedRecords(recs []Record) []schedwm.Record {
-	out := make([]schedwm.Record, len(recs))
-	for i, r := range recs {
-		out[i] = r.Sched()
-	}
-	return out
-}
-
 // MarkParams are the public embedding parameters shared by embed and
 // verify requests. Zero values take the selected family's defaults
 // (GET /v1/families lists them; for sched: n=2, τ=20, K=4, ε=0.25,
@@ -245,8 +236,7 @@ type DetectOutcome struct {
 
 // DetectResponse is the service's batch detection answer.
 type DetectResponse struct {
-	// Results[i][j] is records[j] scanned in suspects[i], mirroring
-	// engine.DetectBatch.
+	// Results[i][j] is records[j] scanned in suspects[i].
 	Results [][]DetectOutcome `json:"results"`
 	// Detected is the count of found verdicts across the grid.
 	Detected int `json:"detected"`
