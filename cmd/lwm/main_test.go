@@ -26,8 +26,8 @@ func wavelet(t *testing.T, dir string) string {
 }
 
 func TestParseScheduleRoundTrip(t *testing.T) {
-	m := markCmd{in: wavelet(t, t.TempDir())}
-	_, sp, err := m.loadSuspect(nil, []byte("budget 20\nstep lo_m0 1\nstep lo_a1 3\n"))
+	proto, _ := family.Lookup(lwmapi.FamilySched)
+	sp, err := readSuspect(proto, wavelet(t, t.TempDir()), []byte("budget 20\nstep lo_m0 1\nstep lo_a1 3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +42,13 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 }
 
 func TestParseScheduleErrors(t *testing.T) {
-	m := markCmd{in: wavelet(t, t.TempDir())}
+	proto, _ := family.Lookup(lwmapi.FamilySched)
+	in := wavelet(t, t.TempDir())
 	for name, content := range map[string]string{
 		"unknown-node": "step nosuch 3\n",
 		"garbage":      "frobnicate\n",
 	} {
-		if _, _, err := m.loadSuspect(nil, []byte(content)); err == nil {
+		if _, err := readSuspect(proto, in, []byte(content)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

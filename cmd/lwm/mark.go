@@ -1,8 +1,9 @@
 // The marking subcommands — embed, detect and verify — run one path for
 // every watermark family. In-process they resolve the family in the
-// internal/family registry, normalize the mark parameters, parse the
-// design (and the suspect solution) with the family's codecs and call the
-// protocol: the same calls lwmd makes for a request. With -remote they
+// internal/family registry, normalize the mark parameters, run the
+// request's admission check, parse the design (and the suspect solution)
+// with the family's codecs and call the protocol: the same calls lwmd
+// makes for a request. With -remote they
 // make one lwmclient call carrying the raw flag values, and the daemon
 // does the same. Both paths print through the same code, so local and
 // remote runs are byte-identical on stdout and in every written file.
@@ -86,41 +87,29 @@ func (m *markCmd) dial() (*lwmclient.Client, string, error) {
 	return c, design, nil
 }
 
-// loadDesign resolves a family and parses a design file with its codec
-// for an in-process run, first filling params (when given) with the
-// family's defaults.
-func loadDesign(fam, in string, params *lwmapi.MarkParams) (family.Protocol, family.Design, error) {
-	proto, err := family.Lookup(fam)
-	if err != nil {
-		return nil, nil, err
-	}
-	if params != nil {
-		proto.Normalize(params)
-	}
+// readDesign parses a design file with the family's codec, as lwmd
+// parses a request's design text.
+func readDesign(proto family.Protocol, in string) (family.Design, error) {
 	text, err := os.ReadFile(in)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	d, err := proto.ParseDesign(string(text))
-	if err != nil {
-		return nil, nil, fmt.Errorf("design: %v", err)
-	}
-	return proto, d, nil
+	return family.ParseDesign(proto, "design", string(text))
 }
 
-// loadSuspect is loadDesign plus the suspect solution (the -schedule
+// readSuspect is readDesign plus the suspect solution (the -schedule
 // file: a schedule, a template cover or a coloring) parsed against the
 // design.
-func (m *markCmd) loadSuspect(params *lwmapi.MarkParams, solText []byte) (family.Protocol, family.Suspect, error) {
-	proto, d, err := loadDesign(m.family, m.in, params)
+func readSuspect(proto family.Protocol, in string, solText []byte) (family.Suspect, error) {
+	d, err := readDesign(proto, in)
 	if err != nil {
-		return nil, family.Suspect{}, err
+		return family.Suspect{}, err
 	}
 	sol, err := proto.ParseSolution(d, string(solText))
 	if err != nil {
-		return nil, family.Suspect{}, fmt.Errorf("schedule: %v", err)
+		return family.Suspect{}, fmt.Errorf("schedule: %v", err)
 	}
-	return proto, family.Suspect{Design: d, Solution: sol}, nil
+	return family.Suspect{Design: d, Solution: sol}, nil
 }
 
 // cmdEmbed embeds watermarks derived from a signature and writes the
@@ -158,7 +147,15 @@ func cmdEmbed(args []string) error {
 			return err
 		}
 	} else {
-		proto, d, err := loadDesign(m.family, m.in, params)
+		proto, err := family.Lookup(m.family)
+		if err != nil {
+			return err
+		}
+		proto.Normalize(params)
+		if err := family.CheckEmbed(*sig, params.N); err != nil {
+			return err
+		}
+		d, err := readDesign(proto, m.in)
 		if err != nil {
 			return err
 		}
@@ -250,7 +247,14 @@ func cmdDetect(args []string) error {
 		}
 		outs = res.Results[0]
 	} else {
-		proto, sp, err := m.loadSuspect(nil, solText)
+		proto, err := family.Lookup(m.family)
+		if err != nil {
+			return err
+		}
+		if err := family.CheckDetect(1, len(rf.Records)); err != nil {
+			return err
+		}
+		sp, err := readSuspect(proto, m.in, solText)
 		if err != nil {
 			return err
 		}
@@ -318,7 +322,15 @@ func cmdVerify(args []string) error {
 			return err
 		}
 	} else {
-		proto, sp, err := m.loadSuspect(params, solText)
+		proto, err := family.Lookup(m.family)
+		if err != nil {
+			return err
+		}
+		proto.Normalize(params)
+		if err := family.CheckVerify(*sig); err != nil {
+			return err
+		}
+		sp, err := readSuspect(proto, m.in, solText)
 		if err != nil {
 			return err
 		}

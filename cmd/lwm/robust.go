@@ -81,7 +81,12 @@ func cmdRobust(args []string) error {
 		return fmt.Errorf("robust: battery: %v", err)
 	}
 	// Attack batteries exist for the scheduling family only.
-	_, d, err := loadDesign(lwmapi.FamilySched, *in, params)
+	proto, err := family.Lookup(lwmapi.FamilySched)
+	if err != nil {
+		return err
+	}
+	proto.Normalize(params)
+	d, err := readDesign(proto, *in)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package schedwm
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"localwm/internal/cdfg"
@@ -146,5 +147,31 @@ func TestSortByRankMatchesReference(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Fatal("no domain listed a node twice; the duplicate case went untested")
+	}
+}
+
+// TestEmbedRejectsDesignWithoutOperations: a design with no operation to
+// schedule has a unit-step critical path of 0, which the stretch bound
+// divides by. Embedding (and so verification, which re-embeds) must
+// fail with an error instead of panicking.
+func TestEmbedRejectsDesignWithoutOperations(t *testing.T) {
+	for name, text := range map[string]string{
+		"comment only":    "# only a comment\n",
+		"input to output": "node x in\nnode y out\nedge x y data\n",
+	} {
+		g, err := cdfg.Parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		cfg := testCfg
+		cfg.Budget = 1
+		if _, err := EmbedMany(g, prng.Signature("alice"), cfg, 2); err == nil ||
+			!strings.Contains(err.Error(), "no operations") {
+			t.Errorf("%s: EmbedMany err %v, want a no-operations error", name, err)
+		}
+		s := &sched.Schedule{Steps: make([]int, g.Len()), Budget: 1}
+		if _, err := VerifyOwnership(g, s, prng.Signature("alice"), cfg, 2); err == nil {
+			t.Errorf("%s: VerifyOwnership succeeded on a design without operations", name)
+		}
 	}
 }

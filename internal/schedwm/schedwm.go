@@ -264,6 +264,11 @@ func Prepare(g *cdfg.Graph, cfg Config) (*Analyses, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cpSteps == 0 {
+		// No operation takes a control step, so there is nothing to
+		// order, and the stretch bound below divides by cpSteps.
+		return nil, fmt.Errorf("schedwm: design has no operations to schedule")
+	}
 	if budget < cpSteps {
 		return nil, fmt.Errorf("schedwm: budget %d below critical path %d", budget, cpSteps)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"localwm/internal/family"
@@ -15,10 +14,11 @@ import (
 
 // The wire types live in the public lwmapi package, shared verbatim with
 // lwmclient so the two sides of the contract cannot drift. This file
-// holds the server-side semantics: family dispatch, validation, design
-// resolution (inline text vs registry reference), and the protocol
-// calls. The per-family lifecycle — parameter defaulting, codec choice,
-// and the watermarking calls themselves — lives in internal/family; every
+// holds the server-side semantics: family dispatch, design resolution
+// (inline text vs registry reference), and the protocol calls. The
+// per-family lifecycle — parameter defaulting, admission checks, codec
+// choice, and the watermarking calls themselves — lives in
+// internal/family; every
 // compute endpoint resolves the request's family field ("" means the
 // scheduling family) and routes through that protocol, so the server
 // never names a family-specific engine.
@@ -46,19 +46,6 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// parseFamilyDesign parses inline design text with the family's codec,
-// mapping failures onto the field that carried the text.
-func parseFamilyDesign(proto family.Protocol, field, text string) (family.Design, error) {
-	if strings.TrimSpace(text) == "" {
-		return nil, badRequest("%s: empty design", field)
-	}
-	d, err := proto.ParseDesign(text)
-	if err != nil {
-		return nil, badRequest("%s: %v", field, err)
-	}
-	return d, nil
-}
-
 // resolveDesign turns a request's design choice — inline text or a
 // registry reference — into a family-typed design. The reference wins
 // when both are set; an unresolvable reference is a 404 (never a silent
@@ -76,8 +63,11 @@ func parseFamilyDesign(proto family.Protocol, field, text string) (family.Design
 // oracle starts cold, but the parse is still skipped.
 func (s *Server) resolveDesign(ctx context.Context, proto family.Protocol, field, inline, ref string, wantClone bool) (d family.Design, shared bool, err error) {
 	if ref == "" {
-		d, err := parseFamilyDesign(proto, field, inline)
-		return d, false, err
+		d, err := family.ParseDesign(proto, field, inline)
+		if err != nil {
+			return nil, false, badRequest("%v", err)
+		}
+		return d, false, nil
 	}
 	if !store.ValidRef(ref) {
 		return nil, false, badRequest("%s_ref: not a registry reference (want 64 lowercase hex digits)", field)
@@ -159,11 +149,8 @@ func (s *Server) runEmbed(ctx context.Context, req *lwmapi.EmbedRequest) (any, e
 
 func (s *Server) embedWith(ctx context.Context, proto family.Protocol, req *lwmapi.EmbedRequest) (any, error) {
 	proto.Normalize(&req.MarkParams)
-	if req.Signature == "" {
-		return nil, badRequest("signature: required")
-	}
-	if req.N < 1 {
-		return nil, badRequest("n: must be positive, got %d", req.N)
+	if err := family.CheckEmbed(req.Signature, req.N); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	// Embedding mutates the design, so a ref-resolved design is cloned:
 	// the registry copy stays pristine and the clone is request-private
@@ -202,11 +189,8 @@ func (s *Server) runDetect(ctx context.Context, req *lwmapi.DetectRequest) (any,
 }
 
 func (s *Server) detectWith(ctx context.Context, proto family.Protocol, req *lwmapi.DetectRequest) (any, error) {
-	if len(req.Suspects) == 0 {
-		return nil, badRequest("suspects: at least one required")
-	}
-	if len(req.Records) == 0 {
-		return nil, badRequest("records: at least one required")
+	if err := family.CheckDetect(len(req.Suspects), len(req.Records)); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	suspects := make([]family.Suspect, len(req.Suspects))
 	for i, sp := range req.Suspects {
@@ -245,8 +229,8 @@ func (s *Server) runVerify(ctx context.Context, req *lwmapi.VerifyRequest) (any,
 
 func (s *Server) verifyWith(ctx context.Context, proto family.Protocol, req *lwmapi.VerifyRequest) (any, error) {
 	proto.Normalize(&req.MarkParams)
-	if req.Signature == "" {
-		return nil, badRequest("signature: required")
+	if err := family.CheckVerify(req.Signature); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	// Verification clones internally before re-deriving, so a
 	// ref-resolved suspect shares the registry copy like detection does.
