@@ -1,7 +1,8 @@
 // Package profiler is lwmd's continuous-profiling observatory: it
 // captures CPU, heap, and allocs pprof snapshots into a
 // retention-bounded directory, on a fixed interval and on demand when
-// the server sees an endpoint's rolling p99 cross its SLO. Snapshots
+// the server sees a request slower than its SLO (lwmd -slo-ms), at most
+// once per debounce window. Snapshots
 // are ordinary pprof protobuf files — `go tool pprof` reads them
 // directly, and `lwm prof` lists, fetches, and diffs them through the
 // daemon without external tooling.
@@ -89,7 +90,14 @@ type Snapshot struct {
 type Profiler struct {
 	cfg Config
 
-	mu          sync.Mutex // serializes capture cycles (CPU profiling is process-global)
+	// cycle serializes capture cycles (CPU profiling is process-global)
+	// and is held through a cycle's CPU sample.
+	cycle sync.Mutex
+
+	// mu guards the fields below. It is never held across a sample, so
+	// Counters (every /metrics scrape) and Trigger (the request path)
+	// never wait out a capture.
+	mu          sync.Mutex
 	lastTrigger time.Time
 	ctr         Counters
 	closed      bool // set by Close; no capture is started after it
@@ -177,21 +185,28 @@ func (p *Profiler) Trigger(reason string) bool {
 }
 
 // capture runs one full cycle: cpu (sampled for CPUDuration), heap, and
-// allocs snapshots, then retention pruning.
+// allocs snapshots, then retention pruning. The counters move once, when
+// the cycle completes.
 func (p *Profiler) capture(reason string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.cycle.Lock()
+	defer p.cycle.Unlock()
 	stamp := fmt.Sprintf("%d", time.Now().UnixNano())
+	var captures, errs uint64
 	for _, kind := range Kinds {
 		if err := p.writeSnapshot(kind, stamp); err != nil {
-			p.ctr.Errors++
+			errs++
 			p.cfg.Logger.Error("profiler capture failed", "kind", kind, "err", err)
 			continue
 		}
-		p.ctr.Captures++
+		captures++
 	}
+	pruned := p.prune()
+	p.mu.Lock()
+	p.ctr.Captures += captures
+	p.ctr.Errors += errs
 	p.ctr.Cycles++
-	p.pruneLocked()
+	p.ctr.Pruned += pruned
+	p.mu.Unlock()
 	p.cfg.Logger.Info("profiler cycle complete", "reason", reason, "stamp", stamp)
 }
 
@@ -231,11 +246,12 @@ func (p *Profiler) writeSnapshot(kind, stamp string) error {
 	return os.Rename(f.Name(), final)
 }
 
-// pruneLocked enforces the per-kind newest-Retain bound.
-func (p *Profiler) pruneLocked() {
+// prune enforces the per-kind newest-Retain bound and returns how many
+// files it removed.
+func (p *Profiler) prune() (pruned uint64) {
 	snaps, err := p.scan()
 	if err != nil {
-		return
+		return 0
 	}
 	byKind := make(map[string][]Snapshot)
 	for _, s := range snaps {
@@ -245,10 +261,11 @@ func (p *Profiler) pruneLocked() {
 		// scan returns newest first; everything past Retain goes.
 		for _, s := range list[min(p.cfg.Retain, len(list)):] {
 			if os.Remove(filepath.Join(p.cfg.Dir, s.Name)) == nil {
-				p.ctr.Pruned++
+				pruned++
 			}
 		}
 	}
+	return pruned
 }
 
 // scan reads Dir and returns resident snapshots, newest first (by the

@@ -210,3 +210,51 @@ func TestNilProfilerIsInert(t *testing.T) {
 		t.Fatal("nil profiler has counters")
 	}
 }
+
+// TestCountersAndTriggerDuringCPUSample: while a capture cycle holds its
+// CPU sample open, Counters (every /metrics scrape) and Trigger (the
+// request path of a request slower than the SLO) return at once instead
+// of waiting the sample out.
+func TestCountersAndTriggerDuringCPUSample(t *testing.T) {
+	p := newTest(t, Config{CPUDuration: 1500 * time.Millisecond, Debounce: time.Hour})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.CaptureOnce("test")
+	}()
+	// The cycle's CPU sample writes into a temp file until it ends.
+	deadline := time.Now().Add(time.Second)
+	for {
+		tmps, err := filepath.Glob(filepath.Join(p.cfg.Dir, ".cpu-*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tmps) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the CPU sample did not start")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for name, call := range map[string]func(){
+		"Counters": func() { p.Counters() },
+		"Trigger": func() {
+			if !p.Trigger("slo") {
+				t.Error("trigger rejected")
+			}
+		},
+	} {
+		start := time.Now()
+		call()
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s took %v during a capture's CPU sample", name, d)
+		}
+	}
+	// Close cuts both samples short and joins the triggered capture.
+	p.Close()
+	<-done
+	if c := p.Counters(); c.Cycles != 2 || c.Triggered != 1 {
+		t.Fatalf("counters %+v, want 2 cycles, 1 triggered", c)
+	}
+}
