@@ -6,8 +6,8 @@
 // *Trace (the normal state when no caller asked for tracing) makes every
 // span operation a nil-check and nothing else: StartSpan returns the
 // context unchanged and a nil *Span whose methods are no-ops, so
-// instrumented hot paths — the engine's detect fan-out, the oracle's
-// recompute path — stay allocation-free unless a trace is attached.
+// instrumented hot paths — the detect fan-out, the oracle's recompute
+// path — stay allocation-free unless a trace is attached.
 //
 // The trace model is deliberately small: a Trace is a process-local,
 // mutex-guarded list of named spans with parent links, identified by a
@@ -117,7 +117,7 @@ func (s *Span) Duration() time.Duration {
 
 // Trace collects the spans of one request. Safe for concurrent use:
 // spans may be started, finished, and recorded from many goroutines
-// (the engine's worker pool does exactly that).
+// (the detect fan-out's worker pool does exactly that).
 type Trace struct {
 	ID TraceID
 

@@ -106,9 +106,9 @@ func (s *Server) runRobustReport(ctx context.Context, req *lwmapi.RobustnessRequ
 	if err != nil {
 		return nil, err
 	}
-	// The campaign engine re-marks through the scheduling engine
-	// directly, so unwrap the cdfg (the robustFamily gate guarantees a
-	// scheduling design) and build its config the way the protocol does.
+	// The campaign engine re-marks through schedwm directly, so unwrap
+	// the cdfg (the robustFamily gate guarantees a scheduling design)
+	// and build its config the way the protocol does.
 	g, _ := family.CDFG(d)
 	cfg, err := family.SchedConfig(g, req.MarkParams, 1)
 	if err != nil {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Verification gates, in escalating cost order. Tier 1 is the hard gate
 # every PR must keep green (see ROADMAP.md); tier 2 adds static analysis
-# and the race detector, which the concurrent engine (internal/engine)
-# treats as part of its correctness contract rather than an optional
-# extra. Run from the repository root: ./scripts/verify.sh
+# and the race detector, which the concurrent fan-outs (the detect loop
+# and worker pool in internal/family, the robustness grid) treat as part
+# of their correctness contract rather than an optional extra. Run from the repository root: ./scripts/verify.sh
 set -eu
 cd "$(dirname "$0")/.."
 
