@@ -3,10 +3,10 @@
 // internal/family registry, normalize the mark parameters, run the
 // request's admission check, parse the design (and the suspect solution)
 // with the family's codecs and call the protocol: the same calls lwmd
-// makes for a request. With -remote they
-// make one lwmclient call carrying the raw flag values, and the daemon
-// does the same. Both paths print through the same code, so local and
-// remote runs are byte-identical on stdout and in every written file.
+// makes for a request. With -remote they make one lwmclient call
+// carrying the raw flag values, and the daemon does the same. Both paths
+// print through the same code, so local and remote runs are
+// byte-identical on stdout and in every written file.
 package main
 
 import (

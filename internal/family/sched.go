@@ -15,9 +15,10 @@ import (
 )
 
 // schedFamily adapts internal/schedwm: temporal-edge watermarks on
-// operation schedules, the family the daemon originally served. Its responses are byte-identical to the pre-family daemon's —
-// every error string and every outcome field below is lifted verbatim
-// from the old internal/server handlers.
+// operation schedules, the family the daemon originally served. Its
+// responses are byte-identical to the pre-family daemon's — every error
+// string and every outcome field below is lifted verbatim from the old
+// internal/server handlers.
 type schedFamily struct{}
 
 func (schedFamily) Name() string { return lwmapi.FamilySched }

@@ -2,10 +2,9 @@
 // captures CPU, heap, and allocs pprof snapshots into a
 // retention-bounded directory, on a fixed interval and on demand when
 // the server sees a request slower than its SLO (lwmd -slo-ms), at most
-// once per debounce window. Snapshots
-// are ordinary pprof protobuf files — `go tool pprof` reads them
-// directly, and `lwm prof` lists, fetches, and diffs them through the
-// daemon without external tooling.
+// once per debounce window. Snapshots are ordinary pprof protobuf files
+// — `go tool pprof` reads them directly, and `lwm prof` lists, fetches,
+// and diffs them through the daemon without external tooling.
 //
 // A nil *Profiler is valid and inert: every method no-ops, so the
 // server wires it unconditionally and pays nothing when -prof-dir is

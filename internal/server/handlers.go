@@ -18,10 +18,9 @@ import (
 // (inline text vs registry reference), and the protocol calls. The
 // per-family lifecycle — parameter defaulting, admission checks, codec
 // choice, and the watermarking calls themselves — lives in
-// internal/family; every
-// compute endpoint resolves the request's family field ("" means the
-// scheduling family) and routes through that protocol, so the server
-// never names a family-specific engine.
+// internal/family; every compute endpoint resolves the request's family
+// field ("" means the scheduling family) and routes through that
+// protocol, so the server never names a family-specific engine.
 
 // familyOf resolves a request's family field to its protocol. An
 // unknown name is a 400 with the family_unknown code, listing the
